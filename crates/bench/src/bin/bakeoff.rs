@@ -1,4 +1,4 @@
-//! The **detector bakeoff**: every `SourceDetector` × diffusion model ×
+//! The **detector bakeoff**: every registered detector × diffusion model ×
 //! network family, graded on precision / recall / F1 and
 //! rank-of-true-source, with per-detector latency distributions.
 //!
@@ -15,9 +15,10 @@
 //! detected set, so their mean rank is near the detected count; the
 //! score-style estimators rank the whole snapshot.
 //!
-//! A final `equivalence` entry asserts that trait-dispatched RID is
-//! bit-identical to the legacy `Rid::detect` on every MFC trial and
-//! records `bit_identical: 1` for `cargo xtask bench-check`.
+//! A final `equivalence` entry asserts that RID built through the
+//! registry is bit-identical to a directly configured `Rid::detect` on
+//! every MFC trial and records `bit_identical: 1` for
+//! `cargo xtask bench-check`.
 //!
 //! Writes `BENCH_detectors.json` (gated in CI against the F1 floors in
 //! `bench_baselines.json`).
@@ -104,9 +105,7 @@ fn main() {
                 let mut latencies_ns = Vec::with_capacity(trials.len());
                 for trial in &trials {
                     let started = Instant::now();
-                    let found = detector
-                        .detect_sources(&trial.scenario.snapshot)
-                        .expect("bakeoff snapshots are valid detector inputs");
+                    let found = detector.detect_ranked(&trial.scenario.snapshot);
                     latencies_ns.push(started.elapsed().as_nanos() as f64);
                     let prf = evaluate_identities(&found.detection.nodes(), &trial.truth_ids);
                     precisions.push(prf.precision);
@@ -154,8 +153,8 @@ fn main() {
         }
     }
     // One summary entry so bench-check's bit-identity gate covers this
-    // artifact: every MFC cell re-ran RID through the trait seam and
-    // asserted byte equality with the legacy path above.
+    // artifact: every MFC cell re-ran registry-built RID and asserted
+    // bit equality with a directly configured `Rid` above.
     report.add_metrics(
         "detectors",
         "equivalence",
@@ -168,17 +167,15 @@ fn main() {
     println!("\nwrote {}", path.display());
 }
 
-/// Asserts trait-dispatched RID ≡ legacy `Rid::detect`, bit for bit,
-/// on every trial of an MFC cell.
+/// Asserts registry-built RID ≡ `Rid::from_config(..).detect`, bit for
+/// bit, on every trial of an MFC cell.
 fn assert_dispatch_equivalence(config: &RidConfig, trials: &[Trial]) {
-    let legacy = Rid::from_config(*config).expect("default config is valid");
+    let direct = Rid::from_config(*config).expect("default config is valid");
     let dispatched = build(DetectorKind::Rid, config).expect("default config is valid");
     for trial in trials {
-        let expected = legacy.detect(&trial.scenario.snapshot);
-        let got = dispatched
-            .detect_sources(&trial.scenario.snapshot)
-            .expect("RID accepts bakeoff snapshots");
-        assert_eq!(got.detection, expected, "trait-dispatched RID diverged");
+        let expected = direct.detect(&trial.scenario.snapshot);
+        let got = dispatched.detect_ranked(&trial.scenario.snapshot);
+        assert_eq!(got.detection, expected, "registry-built RID diverged");
         assert_eq!(
             got.detection.objective.to_bits(),
             expected.objective.to_bits(),

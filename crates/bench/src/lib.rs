@@ -60,7 +60,7 @@
 
 pub mod report;
 
-use isomit_core::{InitiatorDetector, Rid, RidPositive, RidTree, RumorCentrality};
+use isomit_core::{InitiatorDetector, Rid, RidPositive, RidTree};
 use isomit_datasets::{
     build_scenario, build_scenario_with_model, epinions_like_scaled, slashdot_like_scaled,
     Scenario, ScenarioConfig,
@@ -350,7 +350,7 @@ pub fn figure4_detectors() -> Vec<Box<dyn InitiatorDetector>> {
         Box::new(RidPositive::new()),
         // Extra baseline from the related work the paper discusses (§V):
         // Shah & Zaman's unsigned single-source estimator.
-        Box::new(RumorCentrality::new()),
+        Box::new(isomit_detectors::RumorCentralityDetector::new()),
     ]
 }
 

@@ -1,24 +1,15 @@
-// lint:allow-file(indexing) rumor-centrality recursion indexes parent/children/subtree arrays all allocated with the tree's node count n; parent entries are checked < n by CascadeTree::validate()
-//! The **rumor centrality** source detector of Shah & Zaman ("Rumors in
-//! a network: who's the culprit?", IEEE Trans. IT 2011) — the classic
-//! unsigned single-source estimator the paper's related work (§V)
-//! contrasts RID against. Provided as an additional baseline: it
-//! ignores signs, states and weights entirely and scores nodes purely by
-//! the combinatorics of how many infection orderings they could have
-//! initiated.
+//! Tree **rumor centrality** of Shah & Zaman ("Rumors in a network:
+//! who's the culprit?", IEEE Trans. IT 2011) — the combinatorial score
+//! behind the classic unsigned single-source estimator the paper's
+//! related work (§V) contrasts RID against. The estimator itself lives
+//! in `isomit-detectors`, which applies this tree formula to a BFS
+//! spanning tree of each infected component.
 //!
 //! For a tree with root `v`, `R(v) = n! / Π_u T_u^v` where `T_u^v` is
 //! the size of the subtree rooted at `u` when the tree hangs from `v`.
 //! All centralities are computed in one two-pass message-passing sweep
-//! (log-space, so factorials never overflow). On general graphs, the
-//! standard BFS-tree heuristic applies the tree formula to a spanning
-//! tree of each infected component.
+//! (log-space, so factorials never overflow).
 
-use crate::detection::{DetectedInitiator, Detection, InitiatorDetector};
-use isomit_diffusion::InfectedNetwork;
-use isomit_forest::weakly_connected_components;
-use isomit_graph::{NodeId, SignedDigraph};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Log-space rumor centralities of every node of a tree, given as a
@@ -96,89 +87,9 @@ pub fn tree_rumor_centralities(parent: &[usize]) -> Vec<f64> {
     log_r
 }
 
-/// BFS spanning tree (undirected view) of the subgraph induced by
-/// `component`, as parent pointers over component-local indices.
-fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> {
-    let local_of: std::collections::BTreeMap<NodeId, usize> =
-        component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let mut parent = vec![usize::MAX; component.len()];
-    let mut visited = vec![false; component.len()];
-    visited[0] = true;
-    let mut queue = VecDeque::from([0usize]);
-    while let Some(u) = queue.pop_front() {
-        let u_id = component[u];
-        for &v_id in graph
-            .out_neighbors(u_id)
-            .iter()
-            .chain(graph.in_neighbors(u_id))
-        {
-            if let Some(&v) = local_of.get(&v_id) {
-                if !visited[v] {
-                    visited[v] = true;
-                    parent[v] = u;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    parent
-}
-
-/// The rumor-centrality baseline detector: one estimated source per
-/// infected weakly-connected component (the estimator is inherently
-/// single-source), scored by tree rumor centrality on a BFS spanning
-/// tree. Signs, states, link directions and weights are ignored — which
-/// is precisely why it struggles on signed multi-initiator snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RumorCentrality {
-    _private: (),
-}
-
-impl RumorCentrality {
-    /// Creates the parameter-free detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl InitiatorDetector for RumorCentrality {
-    fn name(&self) -> String {
-        "Rumor-Centrality".to_string()
-    }
-
-    fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
-        let components = weakly_connected_components(snapshot.graph());
-        let mut initiators = Vec::with_capacity(components.len());
-        for component in &components {
-            let parent = bfs_spanning_tree(snapshot.graph(), component);
-            let log_r = tree_rumor_centralities(&parent);
-            let best_local = (0..component.len())
-                .max_by(|&a, &b| log_r[a].total_cmp(&log_r[b]))
-                .expect("non-empty component");
-            let sub_id = component[best_local];
-            initiators.push(DetectedInitiator {
-                node: snapshot
-                    .mapping()
-                    .to_original(sub_id)
-                    .expect("snapshot id maps to original network"),
-                state: snapshot.state(sub_id),
-            });
-        }
-        let mut detection = Detection {
-            initiators,
-            component_count: components.len(),
-            tree_count: components.len(),
-            objective: 0.0,
-        };
-        detection.sort();
-        detection
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isomit_graph::{Edge, NodeState, Sign};
 
     fn chain_parents(n: usize) -> Vec<usize> {
         // Path 0 - 1 - ... - n-1 rooted at 0.
@@ -221,40 +132,6 @@ mod tests {
     fn single_node_tree() {
         let log_r = tree_rumor_centralities(&[usize::MAX]);
         assert_eq!(log_r, vec![0.0]);
-    }
-
-    fn snapshot(edges: &[(u32, u32)], n: usize) -> InfectedNetwork {
-        let g = SignedDigraph::from_edges(
-            n,
-            edges
-                .iter()
-                .map(|&(a, b)| Edge::new(NodeId(a), NodeId(b), Sign::Positive, 0.5)),
-        )
-        .unwrap();
-        InfectedNetwork::from_parts(g, vec![NodeState::Positive; n])
-    }
-
-    #[test]
-    fn detector_picks_the_centre_of_a_path() {
-        let s = snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let d = RumorCentrality::new().detect(&s);
-        assert_eq!(d.nodes(), vec![NodeId(2)]);
-    }
-
-    #[test]
-    fn one_source_per_component() {
-        let s = snapshot(&[(0, 1), (2, 3)], 4);
-        let d = RumorCentrality::new().detect(&s);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.component_count, 2);
-    }
-
-    #[test]
-    fn direction_is_ignored() {
-        // Same undirected path regardless of edge orientations.
-        let a = RumorCentrality::new().detect(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5));
-        let b = RumorCentrality::new().detect(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5));
-        assert_eq!(a.nodes(), b.nodes());
     }
 
     #[test]

@@ -66,12 +66,62 @@ impl Detection {
     }
 }
 
+/// One candidate source in a detector's ranked output: identity (in
+/// **original-network** ids), the state the detector associates with
+/// it, and the detector-specific score that produced its rank.
+///
+/// Scores are only comparable *within* one detection run (and, for the
+/// per-component estimators, only within one component — the list is
+/// still totally ordered by score for determinism). Higher is better.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RankedSource {
+    /// Candidate id in the original diffusion network.
+    pub node: NodeId,
+    /// Inferred (or observed) state of the candidate.
+    pub state: NodeState,
+    /// Detector-specific score; higher ranks earlier.
+    pub score: f64,
+}
+
+/// The output of [`InitiatorDetector::detect_ranked`]: the point
+/// estimate as a [`Detection`] plus the full ranked candidate list
+/// behind it.
+///
+/// Set-style detectors (the RID family) return `ranked` equal to their
+/// detected set — they commit to a set, not an ordering, so every
+/// member carries score `0.0` in `Detection` order. Score-style
+/// detectors (rumor centrality, Jordan center) rank **every** node of
+/// the snapshot, descending by score with ascending node id as the
+/// tie-break.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SourceDetection {
+    /// The point estimate.
+    pub detection: Detection,
+    /// All scored candidates, best first.
+    pub ranked: Vec<RankedSource>,
+}
+
+impl SourceDetection {
+    /// 1-based rank of `node` (original-network id) in the candidate
+    /// list, `None` if the detector never scored it.
+    pub fn rank_of(&self, node: NodeId) -> Option<usize> {
+        self.ranked
+            .iter()
+            .position(|c| c.node == node)
+            .map(|i| i + 1)
+    }
+}
+
 /// A rumor-initiator detection algorithm solving the ISOMIT problem on
 /// an infected snapshot.
 ///
 /// Implemented by [`Rid`](crate::Rid), [`RidTree`](crate::RidTree) and
-/// [`RidPositive`](crate::RidPositive); object-safe so experiment
-/// harnesses can iterate over `Vec<Box<dyn InitiatorDetector>>`.
+/// [`RidPositive`](crate::RidPositive) here, and by the rumor-centrality
+/// and Jordan-center estimators of `isomit-detectors`; object-safe so
+/// experiment harnesses can iterate over
+/// `Vec<Box<dyn InitiatorDetector>>`. Implementations must be
+/// deterministic — same snapshot, same output, bit for bit, regardless
+/// of thread count.
 pub trait InitiatorDetector: std::fmt::Debug {
     /// Human-readable detector name used in reports, e.g. `"RID(0.1)"`.
     fn name(&self) -> String;
@@ -80,6 +130,26 @@ pub trait InitiatorDetector: std::fmt::Debug {
     /// translated back to the original network through the snapshot's
     /// [`mapping`](InfectedNetwork::mapping).
     fn detect(&self, snapshot: &InfectedNetwork) -> Detection;
+
+    /// Runs detection and also returns the ranked candidate list behind
+    /// the point estimate.
+    ///
+    /// The default suits set-style detectors: it ranks the detected set
+    /// in [`Detection`] order, every member at score `0.0`. Score-style
+    /// estimators override it to rank every node they score.
+    fn detect_ranked(&self, snapshot: &InfectedNetwork) -> SourceDetection {
+        let detection = self.detect(snapshot);
+        let ranked = detection
+            .initiators
+            .iter()
+            .map(|d| RankedSource {
+                node: d.node,
+                state: d.state,
+                score: 0.0,
+            })
+            .collect();
+        SourceDetection { detection, ranked }
+    }
 }
 
 #[cfg(test)]
@@ -111,5 +181,33 @@ mod tests {
         assert_eq!(d.state_of(NodeId(9)), None);
         assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn rank_of_is_one_based() {
+        let ranked = vec![
+            RankedSource {
+                node: NodeId(7),
+                state: NodeState::Positive,
+                score: 2.0,
+            },
+            RankedSource {
+                node: NodeId(3),
+                state: NodeState::Negative,
+                score: 1.0,
+            },
+        ];
+        let sd = SourceDetection {
+            detection: Detection {
+                initiators: Vec::new(),
+                component_count: 1,
+                tree_count: 1,
+                objective: 0.0,
+            },
+            ranked,
+        };
+        assert_eq!(sd.rank_of(NodeId(7)), Some(1));
+        assert_eq!(sd.rank_of(NodeId(3)), Some(2));
+        assert_eq!(sd.rank_of(NodeId(0)), None);
     }
 }

@@ -26,7 +26,9 @@
 //! Baselines from the paper's evaluation are provided: [`RidTree`]
 //! (forest roots only, the signed generalization of Lappas et al.'s
 //! k-effectors tree method) and [`RidPositive`] (positive links only).
-//! All detectors implement [`InitiatorDetector`].
+//! All detectors implement [`InitiatorDetector`], whose
+//! [`detect_ranked`](InitiatorDetector::detect_ranked) also returns the
+//! ranked candidate list behind the point estimate.
 //!
 //! The §III-B likelihood (`P(u, s(u) | I, S)` and `P(G_I | I, S)`) is
 //! implemented in [`likelihood`], and the §III-C NP-hardness apparatus
@@ -83,9 +85,11 @@ pub mod likelihood;
 pub mod reduction;
 
 pub use baselines::{RidPositive, RidTree};
-pub use centrality::{tree_rumor_centralities, RumorCentrality};
+pub use centrality::tree_rumor_centralities;
 pub use codec::RidResult;
-pub use detection::{DetectedInitiator, Detection, InitiatorDetector};
+pub use detection::{
+    DetectedInitiator, Detection, InitiatorDetector, RankedSource, SourceDetection,
+};
 pub use dp::{DpOutcome, TreeDp};
 pub use error::RidError;
 pub use forest_extraction::{

@@ -272,10 +272,25 @@ mod tests {
             .simulate(&g, &seeds, &mut StdRng::seed_from_u64(7))
             .unwrap();
         let snapshot = InfectedNetwork::from_cascade(&g, &cascade);
-        let detection = Rid::new(3.0, 0.1).unwrap().detect(&snapshot);
+        let rid = Rid::new(3.0, 0.1).unwrap();
+        let detection = rid.detect(&snapshot);
         assert!(detection.contains(NodeId(0)));
         assert!(detection.contains(NodeId(2)));
         assert_eq!(detection.component_count, 2);
+        // The default ranked view is the detected set, in order, at 0.0.
+        let found = rid.detect_ranked(&snapshot);
+        assert_eq!(found.detection, detection);
+        let ranked: Vec<_> = found
+            .ranked
+            .iter()
+            .map(|c| (c.node, c.state, c.score))
+            .collect();
+        let set: Vec<_> = detection
+            .initiators
+            .iter()
+            .map(|d| (d.node, d.state, 0.0))
+            .collect();
+        assert_eq!(ranked, set);
     }
 
     #[test]

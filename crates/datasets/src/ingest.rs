@@ -1,15 +1,22 @@
-//! Allocation-lean streaming ingestion of SNAP-format signed edge lists.
+//! Streaming ingestion of SNAP-format signed edge lists, and the
+//! matching writer.
 //!
-//! [`isomit_graph::io::read_snap`] is the convenience parser: one heap
-//! `String` per line, per-edge builder calls, hard errors on any
-//! malformed input. That is the right interface for small fixtures but
-//! not for the paper's evaluation dumps (`soc-sign-epinions.txt` has
-//! ~841k edges, `soc-sign-Slashdot090221.txt` ~549k): real SNAP files
-//! contain comment banners, self-loops, duplicate edges and the odd
-//! malformed line, and a loader that either aborts or silently drops
-//! them is useless for auditing what was actually ingested.
+//! The [Stanford SNAP](https://snap.stanford.edu/data/) signed-network
+//! dumps used by the paper (`soc-sign-epinions.txt`, ~841k edges;
+//! `soc-sign-Slashdot090221.txt`, ~549k) are whitespace-separated
+//! triples with `#` comment lines:
 //!
-//! [`load_snap`] is the scale path:
+//! ```text
+//! # Directed signed network of Epinions
+//! # FromNodeId  ToNodeId  Sign
+//! 0   1   -1
+//! 2   3   1
+//! ```
+//!
+//! Real files contain comment banners, self-loops, duplicate edges and
+//! the odd malformed line, and a loader that either aborts or silently
+//! drops them is useless for auditing what was actually ingested.
+//! [`load_snap`] is built for that:
 //!
 //! * one reusable byte buffer for the whole stream — no per-line `String`
 //!   allocations, no UTF-8 validation pass (ids and signs are ASCII);
@@ -22,13 +29,13 @@
 //! * direct-to-CSR construction through
 //!   [`SignedDigraph::from_edge_vec`], skipping the incremental builder.
 //!
-//! The loader also understands the node-count header that
-//! [`isomit_graph::io::write_snap`] emits
-//! (`# Directed signed network: N nodes, M edges`), so graphs with
-//! trailing isolated nodes round-trip exactly: `load(write(g)) == g`.
+//! [`write_snap`] emits the same format, headed by a node-count comment
+//! (`# Directed signed network: N nodes, M edges`) that the loader reads
+//! back, so graphs with trailing isolated nodes round-trip exactly:
+//! `load(write(g)) == g` for unit-weight graphs.
 
 use isomit_graph::{Edge, GraphError, NodeId, Sign, SignedDigraph};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 /// What [`load_snap`] should do with a line it cannot parse.
@@ -169,7 +176,7 @@ fn parse_sign(field: &[u8]) -> Option<Sign> {
     })
 }
 
-/// Recognizes the [`isomit_graph::io::write_snap`] header comment
+/// Recognizes the [`write_snap`] header comment
 /// `# Directed signed network: N nodes, M edges` and extracts `N`, so
 /// trailing isolated nodes survive a write/load round trip.
 fn header_node_count(comment: &[u8]) -> Option<usize> {
@@ -318,6 +325,49 @@ pub fn load_snap_file<P: AsRef<Path>>(
     load_snap(file, options)
 }
 
+/// Writes the graph as a SNAP-format signed edge list, headed by the
+/// node-count comment [`load_snap`] reads back. Weights are not
+/// representable in the format and are dropped. A mutable reference is
+/// a fine argument here: `write_snap(&g, &mut buf)`.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Io`] if the writer fails.
+///
+/// # Examples
+///
+/// ```
+/// use isomit_datasets::{load_snap, write_snap, LoadOptions};
+/// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
+///
+/// let g = SignedDigraph::from_edges(
+///     3,
+///     [Edge::new(NodeId(0), NodeId(1), Sign::Negative, 0.7)],
+/// )?;
+/// let mut buf = Vec::new();
+/// write_snap(&g, &mut buf)?;
+/// // Structure, signs and the isolated node 2 round-trip; the weight is
+/// // lost by the format.
+/// let (back, _) = load_snap(buf.as_slice(), &LoadOptions::default())?;
+/// assert_eq!(back.node_count(), 3);
+/// let e = back.edge(NodeId(0), NodeId(1)).expect("edge kept");
+/// assert_eq!((e.sign, e.weight), (Sign::Negative, 1.0));
+/// # Ok::<(), isomit_graph::GraphError>(())
+/// ```
+pub fn write_snap<W: Write>(graph: &SignedDigraph, mut writer: W) -> Result<(), GraphError> {
+    writeln!(
+        writer,
+        "# Directed signed network: {} nodes, {} edges",
+        graph.node_count(),
+        graph.edge_count()
+    )?;
+    writeln!(writer, "# FromNodeId\tToNodeId\tSign")?;
+    for e in graph.edges() {
+        writeln!(writer, "{}\t{}\t{}", e.src.0, e.dst.0, e.sign.value())?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,11 +388,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_read_snap_on_shared_inputs() {
+    fn drops_comments_blanks_and_self_loops_and_keeps_last_duplicate() {
         let input = "# banner\n\n0 1 -1\n1 2 1\n2 2 1\n0 1 1\n";
-        let via_loader = load_snap(input.as_bytes(), &strict()).unwrap().0;
-        let via_io = isomit_graph::io::read_snap(input.as_bytes()).unwrap();
-        assert_eq!(via_loader, via_io);
+        let (g, r) = load_snap(input.as_bytes(), &strict()).unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (3, 2));
+        let e = g.edge(NodeId(0), NodeId(1)).unwrap();
+        assert_eq!((e.sign, e.weight), (Sign::Positive, 1.0));
+        assert_eq!(g.edge(NodeId(1), NodeId(2)).unwrap().sign, Sign::Positive);
+        assert!(g.edge(NodeId(2), NodeId(2)).is_none());
+        assert_eq!((r.comment_lines, r.blank_lines), (1, 1));
+        assert_eq!((r.self_loops, r.duplicate_edges), (1, 1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Dataset substrate for the `isomit` workspace: loaders for the
 //! SNAP-format signed networks the paper evaluates on (Epinions,
-//! Slashdot — see [`isomit_graph::io`]), synthetic generators matched to
+//! Slashdot — see [`load_snap`]), synthetic generators matched to
 //! those datasets' published statistics, the paper's §IV-B3 edge
 //! weighting pipeline, and the end-to-end experiment scenario builder
 //! (plant initiators → simulate MFC → snapshot).
@@ -17,7 +17,8 @@
 //! *simulating MFC forward* on whatever graph is given — never from
 //! dataset labels — any structurally similar graph exercises identical
 //! code paths; real SNAP files can be dropped in through
-//! [`isomit_graph::io::read_snap_file`] unchanged.
+//! `load_snap_file(path, &LoadOptions::lenient())` ([`load_snap_file`])
+//! unchanged.
 //!
 //! ```
 //! use isomit_datasets::{build_scenario, epinions_like_scaled, ScenarioConfig};
@@ -43,7 +44,7 @@ pub use generators::{
     slashdot_like, slashdot_like_scaled, snap_like, PaConfig, EPINIONS_EDGES, EPINIONS_NODES,
     SLASHDOT_EDGES, SLASHDOT_NODES,
 };
-pub use ingest::{load_snap, load_snap_file, LoadOptions, LoadReport, MalformedPolicy};
+pub use ingest::{load_snap, load_snap_file, write_snap, LoadOptions, LoadReport, MalformedPolicy};
 pub use polarized::{camp_of, polarized_communities, PolarizedConfig};
 pub use scenario::{build_scenario, build_scenario_with_model, Scenario, ScenarioConfig};
 pub use weighting::paper_weights;

@@ -5,7 +5,7 @@
 
 use isomit_datasets::{
     erdos_renyi_signed, load_snap, polarized_communities, preferential_attachment_signed,
-    snap_like, LoadOptions, PaConfig, PolarizedConfig,
+    snap_like, write_snap, LoadOptions, PaConfig, PolarizedConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,7 +99,7 @@ proptest! {
         let edges = (edge_fraction * (nodes * (nodes - 1)) as f64) as usize;
         let g = snap_like(nodes, edges, sign_fraction, seed);
         let mut buf = Vec::new();
-        isomit_graph::io::write_snap(&g, &mut buf).unwrap();
+        write_snap(&g, &mut buf).unwrap();
         let (back, report) = load_snap(buf.as_slice(), &LoadOptions::default()).unwrap();
         prop_assert_eq!(&back, &g);
         prop_assert_eq!(report.edges, g.edge_count());

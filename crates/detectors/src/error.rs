@@ -3,11 +3,11 @@
 use crate::kind::DetectorKind;
 use isomit_core::RidError;
 
-/// Failure modes of a [`crate::SourceDetector`] run or construction.
+/// Failure modes of detector construction through [`crate::build`] or
+/// [`DetectorKind::from_label`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorError {
-    /// The wrapped RID-family estimator rejected its input or
-    /// configuration.
+    /// A RID-family estimator rejected its configuration.
     Rid(RidError),
     /// A detector was requested by a label no [`DetectorKind`] carries.
     UnknownDetector {

@@ -1,4 +1,4 @@
-//! Jordan (distance) center as a ranked [`SourceDetector`].
+//! Jordan (distance) center as a ranked [`InitiatorDetector`].
 //!
 //! The distance-center estimator family surveyed by Jin & Wu, "Schemes
 //! of Propagation Models and Source Estimators for Rumor Source
@@ -9,9 +9,8 @@
 //! rumor spreading roughly one hop per step leaves its origin near the
 //! hop-distance center of the infected set.
 
-use crate::error::DetectorError;
-use crate::source::{sort_ranked, RankedSource, SourceDetection, SourceDetector};
-use isomit_core::{DetectedInitiator, Detection};
+use crate::sort_ranked;
+use isomit_core::{DetectedInitiator, Detection, InitiatorDetector, RankedSource, SourceDetection};
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::weakly_connected_components;
 use isomit_graph::NodeId;
@@ -70,12 +69,16 @@ impl JordanCenter {
     }
 }
 
-impl SourceDetector for JordanCenter {
+impl InitiatorDetector for JordanCenter {
     fn name(&self) -> String {
         "Jordan-Center".to_string()
     }
 
-    fn detect_sources(&self, snapshot: &InfectedNetwork) -> Result<SourceDetection, DetectorError> {
+    fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
+        self.detect_ranked(snapshot).detection
+    }
+
+    fn detect_ranked(&self, snapshot: &InfectedNetwork) -> SourceDetection {
         let _span = jordan_histogram().span();
         let graph = snapshot.graph();
         let components = weakly_connected_components(graph);
@@ -123,7 +126,7 @@ impl SourceDetector for JordanCenter {
         }
         sort_ranked(&mut ranked);
         initiators.sort_by_key(|d| d.node);
-        Ok(SourceDetection {
+        SourceDetection {
             detection: Detection {
                 initiators,
                 component_count: components.len(),
@@ -131,7 +134,7 @@ impl SourceDetector for JordanCenter {
                 objective: 0.0,
             },
             ranked,
-        })
+        }
     }
 }
 
@@ -154,7 +157,7 @@ mod tests {
     #[test]
     fn path_center_is_the_jordan_center() {
         let s = snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(2)]);
         assert_eq!(found.rank_of(NodeId(2)), Some(1));
         // Center has eccentricity 2, ends 4.
@@ -163,12 +166,8 @@ mod tests {
 
     #[test]
     fn direction_is_ignored() {
-        let a = JordanCenter::new()
-            .detect_sources(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5))
-            .unwrap();
-        let b = JordanCenter::new()
-            .detect_sources(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5))
-            .unwrap();
+        let a = JordanCenter::new().detect_ranked(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5));
+        let b = JordanCenter::new().detect_ranked(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5));
         assert_eq!(a.detection.nodes(), b.detection.nodes());
     }
 
@@ -177,7 +176,7 @@ mod tests {
         // Two 2-cliques: all nodes tie at eccentricity 1 inside each
         // component, so the smallest id of each component wins.
         let s = snapshot(&[(0, 1), (2, 3)], 4);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(found.detection.component_count, 2);
         assert_eq!(found.ranked.len(), 4);
@@ -186,7 +185,7 @@ mod tests {
     #[test]
     fn star_hub_is_the_center() {
         let s = snapshot(&[(0, 1), (0, 2), (0, 3), (0, 4)], 5);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(0)]);
     }
 
@@ -194,6 +193,6 @@ mod tests {
     fn deterministic_across_runs() {
         let s = snapshot(&[(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], 5);
         let d = JordanCenter::new();
-        assert_eq!(d.detect_sources(&s).unwrap(), d.detect_sources(&s).unwrap());
+        assert_eq!(d.detect_ranked(&s), d.detect_ranked(&s));
     }
 }

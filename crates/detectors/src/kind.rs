@@ -3,10 +3,8 @@
 
 use crate::error::DetectorError;
 use crate::jordan::JordanCenter;
-use crate::rid_family::{RidDetector, RidPositiveDetector, RidTreeDetector};
 use crate::rumor::RumorCentralityDetector;
-use crate::source::SourceDetector;
-use isomit_core::RidConfig;
+use isomit_core::{InitiatorDetector, Rid, RidConfig, RidPositive, RidTree};
 use serde::{Deserialize, Serialize};
 
 /// Every detector the subsystem can build, by stable wire label.
@@ -85,7 +83,8 @@ impl DetectorKind {
 /// # Errors
 ///
 /// Returns [`DetectorError::Rid`] if `config` is invalid for the
-/// requested RID-family detector (e.g. `alpha < 1`).
+/// requested RID-family detector (`alpha` not finite or `< 1`, `beta`
+/// negative).
 ///
 /// # Examples
 ///
@@ -105,11 +104,11 @@ impl DetectorKind {
 pub fn build(
     kind: DetectorKind,
     config: &RidConfig,
-) -> Result<Box<dyn SourceDetector>, DetectorError> {
+) -> Result<Box<dyn InitiatorDetector>, DetectorError> {
     Ok(match kind {
-        DetectorKind::Rid => Box::new(RidDetector::from_config(config)?),
-        DetectorKind::RidTree => Box::new(RidTreeDetector::from_config(config)?),
-        DetectorKind::RidPositive => Box::new(RidPositiveDetector::new()),
+        DetectorKind::Rid => Box::new(Rid::from_config(*config)?),
+        DetectorKind::RidTree => Box::new(RidTree::new(config.alpha)?),
+        DetectorKind::RidPositive => Box::new(RidPositive::new()),
         DetectorKind::RumorCentrality => Box::new(RumorCentralityDetector::new()),
         DetectorKind::JordanCenter => Box::new(JordanCenter::new()),
     })
@@ -149,6 +148,17 @@ mod tests {
         for kind in DetectorKind::ALL {
             let detector = build(kind, &config).expect("default config builds every detector");
             assert!(!detector.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_reported_as_rid_error() {
+        let bad = RidConfig {
+            alpha: 0.0,
+            ..RidConfig::default()
+        };
+        for kind in [DetectorKind::Rid, DetectorKind::RidTree] {
+            assert!(matches!(build(kind, &bad), Err(DetectorError::Rid(_))));
         }
     }
 }

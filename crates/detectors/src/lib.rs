@@ -1,21 +1,19 @@
 //! # isomit-detectors — the source-detector subsystem
 //!
-//! A shared [`SourceDetector`] trait over every rumor-source estimator
-//! the workspace ships, so the serving engine, the CLI and the bench
-//! harness can treat "which detector" as data instead of code. The
-//! trait consumes an [`InfectedNetwork`] snapshot and produces a
-//! [`SourceDetection`]: the familiar [`Detection`] set (compatible with
-//! the `RidResult` wire shape) plus a full ranked candidate list for
-//! rank-of-true-source evaluation.
+//! Every rumor-source estimator the workspace ships, behind `isomit-core`'s
+//! [`InitiatorDetector`] trait, so the serving engine, the CLI and the
+//! bench harness can treat "which detector" as data instead of code.
+//! [`InitiatorDetector::detect_ranked`] consumes an [`InfectedNetwork`]
+//! snapshot and produces a [`SourceDetection`]: the familiar
+//! [`Detection`] set (compatible with the `RidResult` wire shape) plus a
+//! ranked candidate list for rank-of-true-source evaluation.
 //!
-//! Five detectors are provided, selected by [`DetectorKind`]:
+//! Five detectors are provided, selected by [`DetectorKind`] and built
+//! by [`build`]:
 //!
-//! * **RID** ([`RidDetector`]) — the paper's full framework, dispatched
-//!   through the two-stage pipeline and bit-identical to
-//!   `Rid::detect`.
-//! * **RID-Tree** / **RID-Positive** ([`RidTreeDetector`],
-//!   [`RidPositiveDetector`]) — the paper's §IV-B1 baselines, wrapped
-//!   unchanged.
+//! * **RID** — the paper's full framework, `isomit_core::Rid`.
+//! * **RID-Tree** / **RID-Positive** — the paper's §IV-B1 baselines,
+//!   `isomit_core::RidTree` and `isomit_core::RidPositive`.
 //! * **Rumor centrality** ([`RumorCentralityDetector`]) — the
 //!   message-passing BFS-tree estimator of Shah & Zaman, "Rumors in a
 //!   Network: Who's the Culprit?" (arXiv:0909.4370, IEEE Trans. IT
@@ -29,9 +27,9 @@
 //!   the node minimizing eccentricity over the undirected infected
 //!   subgraph.
 //!
-//! All detectors are deterministic (no RNG, ordered collections only),
-//! return `Result`, and time themselves into the process-global
-//! telemetry registry like the RID stages do.
+//! All detectors are deterministic (no RNG, ordered collections only)
+//! and time themselves into the process-global telemetry registry like
+//! the RID stages do.
 //!
 //! # Examples
 //!
@@ -54,7 +52,7 @@
 //! let config = RidConfig::default();
 //! for kind in [DetectorKind::RumorCentrality, DetectorKind::JordanCenter] {
 //!     let detector = build(kind, &config).unwrap();
-//!     let found = detector.detect_sources(&snapshot).unwrap();
+//!     let found = detector.detect_ranked(&snapshot);
 //!     assert_eq!(found.detection.nodes(), vec![NodeId(2)]);
 //!     assert_eq!(found.rank_of(NodeId(2)), Some(1));
 //!     assert_eq!(found.ranked.len(), 5);
@@ -68,18 +66,54 @@
 mod error;
 mod jordan;
 mod kind;
-mod rid_family;
 mod rumor;
-mod source;
 
 pub use error::DetectorError;
 pub use jordan::JordanCenter;
 pub use kind::{build, DetectorKind};
-pub use rid_family::{RidDetector, RidPositiveDetector, RidTreeDetector};
 pub use rumor::RumorCentralityDetector;
-pub use source::{RankedSource, SourceDetection, SourceDetector};
 
-// Re-exported so downstream callers can name the trait's input/output
-// types without an extra direct dependency.
-pub use isomit_core::Detection;
+// Re-exported so downstream callers can name the trait and its
+// input/output types without an extra direct dependency.
+pub use isomit_core::{Detection, InitiatorDetector, RankedSource, SourceDetection};
 pub use isomit_diffusion::InfectedNetwork;
+
+/// Deterministic rank order for score-style detectors: descending
+/// score, ascending node id on ties.
+fn sort_ranked(ranked: &mut [RankedSource]) {
+    ranked.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then_with(|| a.node.cmp(&b.node))
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use isomit_graph::{NodeId, NodeState};
+
+    #[test]
+    fn sort_ranked_breaks_ties_by_node_id() {
+        let mut ranked = vec![
+            RankedSource {
+                node: NodeId(9),
+                state: NodeState::Positive,
+                score: 1.0,
+            },
+            RankedSource {
+                node: NodeId(1),
+                state: NodeState::Positive,
+                score: 1.0,
+            },
+            RankedSource {
+                node: NodeId(5),
+                state: NodeState::Positive,
+                score: 3.0,
+            },
+        ];
+        sort_ranked(&mut ranked);
+        let ids: Vec<_> = ranked.iter().map(|c| c.node).collect();
+        assert_eq!(ids, vec![NodeId(5), NodeId(1), NodeId(9)]);
+    }
+}

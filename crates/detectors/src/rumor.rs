@@ -1,4 +1,4 @@
-//! Rumor centrality as a ranked [`SourceDetector`].
+//! Rumor centrality as a ranked [`InitiatorDetector`].
 //!
 //! Shah & Zaman, "Rumors in a Network: Who's the Culprit?"
 //! (arXiv:0909.4370, IEEE Trans. IT 2011): for a tree rooted at `v`,
@@ -6,14 +6,14 @@
 //! have initiated; on general graphs the standard heuristic applies the
 //! tree formula to a BFS spanning tree of each infected component. The
 //! log-space message-passing sweep lives in
-//! [`isomit_core::tree_rumor_centralities`]; this detector adds the
-//! full per-node ranking the legacy `RumorCentrality` baseline throws
-//! away, while keeping its point estimate bit-identical to that
-//! baseline (one argmax per component, same tie-breaking).
+//! [`isomit_core::tree_rumor_centralities`]; this detector picks one
+//! argmax per component (the last on ties) and ranks every node.
 
-use crate::error::DetectorError;
-use crate::source::{sort_ranked, RankedSource, SourceDetection, SourceDetector};
-use isomit_core::{tree_rumor_centralities, DetectedInitiator, Detection};
+use crate::sort_ranked;
+use isomit_core::{
+    tree_rumor_centralities, DetectedInitiator, Detection, InitiatorDetector, RankedSource,
+    SourceDetection,
+};
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::weakly_connected_components;
 use isomit_graph::{NodeId, SignedDigraph};
@@ -29,11 +29,8 @@ fn rumor_histogram() -> &'static Histogram {
 }
 
 /// BFS spanning tree (undirected view) of the subgraph induced by
-/// `component`, as parent pointers over component-local indices.
-///
-/// Mirrors the legacy baseline's traversal exactly — same start node,
-/// same neighbor order — so the per-node centralities, and therefore
-/// the per-component argmax, agree bit for bit.
+/// `component`, as parent pointers over component-local indices: rooted
+/// at the component's first node, out-neighbors before in-neighbors.
 fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> {
     let local_of: BTreeMap<NodeId, usize> =
         component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -89,12 +86,16 @@ impl RumorCentralityDetector {
     }
 }
 
-impl SourceDetector for RumorCentralityDetector {
+impl InitiatorDetector for RumorCentralityDetector {
     fn name(&self) -> String {
         "Rumor-Centrality".to_string()
     }
 
-    fn detect_sources(&self, snapshot: &InfectedNetwork) -> Result<SourceDetection, DetectorError> {
+    fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
+        self.detect_ranked(snapshot).detection
+    }
+
+    fn detect_ranked(&self, snapshot: &InfectedNetwork) -> SourceDetection {
         let _span = rumor_histogram().span();
         let graph = snapshot.graph();
         let components = weakly_connected_components(graph);
@@ -128,7 +129,7 @@ impl SourceDetector for RumorCentralityDetector {
         }
         sort_ranked(&mut ranked);
         initiators.sort_by_key(|d| d.node);
-        Ok(SourceDetection {
+        SourceDetection {
             detection: Detection {
                 initiators,
                 component_count: components.len(),
@@ -136,14 +137,13 @@ impl SourceDetector for RumorCentralityDetector {
                 objective: 0.0,
             },
             ranked,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isomit_core::{InitiatorDetector, RumorCentrality};
     use isomit_graph::{Edge, NodeState, Sign};
 
     fn snapshot(edges: &[(u32, u32)], n: usize) -> InfectedNetwork {
@@ -158,25 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn point_estimate_matches_legacy_baseline() {
-        for edges in [
-            vec![(0, 1), (1, 2), (2, 3), (3, 4)],
-            vec![(0, 1), (0, 2), (0, 3), (2, 3)],
-            vec![(0, 1), (2, 3)],
-            vec![(1, 0), (2, 1), (3, 2), (4, 3)],
-        ] {
-            let n = 5;
-            let s = snapshot(&edges, n);
-            let legacy = RumorCentrality::new().detect(&s);
-            let ranked = RumorCentralityDetector::new().detect_sources(&s).unwrap();
-            assert_eq!(ranked.detection, legacy, "edges {edges:?}");
-        }
-    }
-
-    #[test]
     fn path_center_ranks_first_and_all_nodes_are_ranked() {
         let s = snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let found = RumorCentralityDetector::new().detect_sources(&s).unwrap();
+        let found = RumorCentralityDetector::new().detect_ranked(&s);
+        assert_eq!(found.detection.nodes(), vec![NodeId(2)]);
         assert_eq!(found.rank_of(NodeId(2)), Some(1));
         assert_eq!(found.ranked.len(), 5);
         // Symmetric path: ends score lowest.
@@ -185,11 +170,28 @@ mod tests {
     }
 
     #[test]
+    fn one_source_per_component_last_max_wins_ties() {
+        // Two 2-node components: both nodes of each tie on centrality,
+        // and the argmax keeps the last of them.
+        let s = snapshot(&[(0, 1), (2, 3)], 4);
+        let d = RumorCentralityDetector::new().detect(&s);
+        assert_eq!(d.nodes(), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(d.component_count, 2);
+    }
+
+    #[test]
+    fn direction_is_ignored() {
+        // Same undirected path regardless of edge orientations.
+        let d = RumorCentralityDetector::new();
+        let a = d.detect(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5));
+        let b = d.detect(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5));
+        assert_eq!(a.nodes(), b.nodes());
+    }
+
+    #[test]
     fn deterministic_across_runs() {
         let s = snapshot(&[(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], 5);
         let d = RumorCentralityDetector::new();
-        let a = d.detect_sources(&s).unwrap();
-        let b = d.detect_sources(&s).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(d.detect_ranked(&s), d.detect_ranked(&s));
     }
 }

@@ -51,7 +51,6 @@ mod sign;
 mod stats;
 mod subgraph;
 
-pub mod io;
 pub mod json;
 pub mod traversal;
 

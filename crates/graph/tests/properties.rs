@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use isomit_graph::{io, jaccard_coefficient, jaccard_weights, Edge, NodeId, Sign, SignedDigraph};
+use isomit_graph::{jaccard_coefficient, jaccard_weights, Edge, NodeId, Sign, SignedDigraph};
 use proptest::prelude::*;
 
 /// Strategy producing a valid edge set over `n` nodes (no self-loops,
@@ -64,20 +64,6 @@ proptest! {
         let in_sum: usize = g.nodes().map(|u| g.in_degree(u)).sum();
         prop_assert_eq!(out_sum, g.edge_count());
         prop_assert_eq!(in_sum, g.edge_count());
-    }
-
-    #[test]
-    fn snap_round_trip_preserves_structure((n, edges) in arb_edges(16, 48)) {
-        // SNAP drops weights, so compare after normalizing weights to 1.0.
-        let g = SignedDigraph::from_edges(n, edges).unwrap().map_weights(|_| 1.0);
-        let mut buf = Vec::new();
-        io::write_snap(&g, &mut buf).unwrap();
-        let back = io::read_snap(buf.as_slice()).unwrap();
-        prop_assert_eq!(back.edge_count(), g.edge_count());
-        for e in g.edges() {
-            let b = back.edge(e.src, e.dst).expect("edge survives round trip");
-            prop_assert_eq!(b.sign, e.sign);
-        }
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!              [--scale S] [--seed N]
 //! ```
 //!
-//! `--workers N` is accepted as a deprecated alias of `--shards N`
-//! (each shard owns exactly one worker thread).
-//!
 //! Loads (or generates) the diffusion network once, then serves the
 //! newline-delimited JSON protocol until a client sends `shutdown`.
 //! Prints `isomit-serve listening on HOST:PORT` once ready — tests and
@@ -69,9 +66,6 @@ impl Options {
             match flag.as_str() {
                 "--addr" => opts.addr = value("--addr"),
                 "--shards" => opts.shards = value("--shards").parse().expect("--shards: usize"),
-                // Deprecated alias from the pre-sharded server: one
-                // worker thread per shard, so the counts coincide.
-                "--workers" => opts.shards = value("--workers").parse().expect("--workers: usize"),
                 "--io-threads" => {
                     opts.io_threads = value("--io-threads").parse().expect("--io-threads: usize")
                 }

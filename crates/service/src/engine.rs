@@ -290,9 +290,9 @@ impl RidEngine {
         Ok(RidResult { config, detection })
     }
 
-    /// Answers a `rid` query through the
-    /// [`SourceDetector`](isomit_detectors::SourceDetector) seam:
-    /// dispatches on `detector`, defaulting to the full RID framework.
+    /// Answers a `rid` query through the [`isomit_detectors::build`]
+    /// registry: dispatches on `detector`, defaulting to the full RID
+    /// framework.
     ///
     /// `DetectorKind::Rid` takes the exact cached-artifact path of
     /// [`rid`](RidEngine::rid) — bit-identical results, same cache
@@ -315,12 +315,9 @@ impl RidEngine {
         self.rid_requests.inc();
         let config = config.unwrap_or(self.default_config);
         let built = isomit_detectors::build(kind, &config).map_err(detector_error_to_rid)?;
-        let found = built
-            .detect_sources(snapshot)
-            .map_err(detector_error_to_rid)?;
         Ok(RidResult {
             config,
-            detection: found.detection,
+            detection: built.detect(snapshot),
         })
     }
 

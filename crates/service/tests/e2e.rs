@@ -373,11 +373,11 @@ fn wait_for_stats(daemon: &Daemon, pred: impl Fn(&isomit_graph::json::Value) -> 
 fn overload_yields_structured_errors_not_hangs() {
     // One worker, queue of one: a single long simulation plus one queued
     // job saturate the data plane completely.
-    let daemon = Daemon::spawn(&["--workers", "1", "--queue", "1"]);
+    let daemon = Daemon::spawn(&["--shards", "1", "--queue", "1"]);
 
     let seeds_json = "[[0,1],[5,-1]]";
-    // Debug-build Monte-Carlo at this scale runs ~1ms/run: several
-    // seconds of guaranteed worker occupancy.
+    // A debug-build 4000-run simulate at this scale keeps the worker
+    // busy for about 2 s (measured on a 2-vCPU x86-64 VM).
     let long_job = format!(
         "{{\"id\":1,\"type\":\"simulate\",\"seeds\":{seeds_json},\"runs\":4000,\"seed\":1}}"
     );
@@ -689,12 +689,16 @@ fn stats_expose_watch_telemetry() {
 
 #[test]
 fn queued_work_past_its_deadline_is_rejected() {
-    let daemon = Daemon::spawn(&["--workers", "1", "--queue", "4", "--timeout-ms", "1"]);
+    // The 100ms deadline is long enough that the blocker below is
+    // dequeued before it expires, and far shorter than the blocker runs.
+    let daemon = Daemon::spawn(&["--shards", "1", "--queue", "4", "--timeout-ms", "100"]);
 
-    // Occupy the single worker long enough that anything queued behind
-    // it is guaranteed to exceed the 1ms deadline by dequeue time.
+    // Occupy the single worker (about 2 s in a debug build, as in the
+    // overload test) so the `rid` queued behind it, submitted only after
+    // a stats poll and a new connection, still exceeds the deadline by
+    // dequeue time.
     let long_job =
-        "{\"id\":1,\"type\":\"simulate\",\"seeds\":[[0,1],[5,-1]],\"runs\":500,\"seed\":1}";
+        "{\"id\":1,\"type\":\"simulate\",\"seeds\":[[0,1],[5,-1]],\"runs\":4000,\"seed\":1}";
     let mut busy = daemon.raw();
     busy.write_all(long_job.as_bytes()).expect("write long job");
     busy.write_all(b"\n").expect("newline");

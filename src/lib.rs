@@ -10,13 +10,13 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`graph`] — weighted signed digraphs, SNAP I/O, Jaccard weighting;
+//! * [`graph`] — weighted signed digraphs, JSON I/O, Jaccard weighting;
 //! * [`diffusion`] — MFC plus the IC / LT / SIR / P-IC reference models;
 //! * [`forest`] — components, Chu-Liu/Edmonds branchings, binarization;
 //! * [`core`] — the RID detector, baselines, likelihood, NP-hardness
 //!   apparatus;
-//! * [`datasets`] — Epinions/Slashdot-like generators and the
-//!   experiment scenario builder;
+//! * [`datasets`] — SNAP edge-list I/O, Epinions/Slashdot-like
+//!   generators and the experiment scenario builder;
 //! * [`metrics`] — precision/recall/F1 and state accuracy/MAE/R².
 //!
 //! # Quickstart
@@ -52,7 +52,7 @@ pub use isomit_metrics as metrics;
 pub mod prelude {
     pub use isomit_core::{
         extract_cascade_forest, solve_k_isomit, Detection, InitiatorDetector, Rid, RidObjective,
-        RidPositive, RidTree, RumorCentrality, TreeDp,
+        RidPositive, RidTree, TreeDp,
     };
     pub use isomit_datasets::{
         build_scenario, epinions_like, epinions_like_scaled, paper_weights, slashdot_like,

@@ -1,18 +1,14 @@
-//! Equivalence suite for the `isomit-detectors` trait seam: detectors
-//! dispatched through [`isomit_detectors::SourceDetector`] must be
-//! bit-identical to the legacy `isomit-core` entry points they wrap —
-//! on the checked-in golden fixtures, on randomized snapshots, and
-//! under every rayon thread count (this binary runs in the CI
-//! determinism matrix at `RAYON_NUM_THREADS` 1 and 4).
+//! Suite for the `isomit-detectors` registry: every detector built by
+//! [`isomit_detectors::build`] must reproduce the checked-in golden
+//! answers (RID) and give bit-identical output under every rayon thread
+//! count (this binary runs in the CI determinism matrix at
+//! `RAYON_NUM_THREADS` 1 and 4).
 
 use isomit::prelude::*;
-use isomit_core::{
-    InitiatorDetector, RidConfig, RidObjective, RidPositive, RidResult, RidTree, RumorCentrality,
-};
+use isomit_core::{RidConfig, RidObjective, RidResult};
 use isomit_datasets::ScenarioConfig;
 use isomit_detectors::{build, DetectorKind};
 use isomit_diffusion::InfectedNetwork;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
@@ -33,7 +29,7 @@ fn golden_dir() -> PathBuf {
 }
 
 /// The golden cases pinned by `tests/golden.rs`, re-answered here
-/// through the trait seam instead of `Rid` directly.
+/// through the registry instead of `Rid` directly.
 fn golden_cases() -> Vec<(&'static str, RidConfig)> {
     vec![
         ("default", RidConfig::default()),
@@ -61,7 +57,7 @@ fn golden_cases() -> Vec<(&'static str, RidConfig)> {
     ]
 }
 
-/// A small deterministic snapshot for the randomized comparisons.
+/// A small deterministic multi-initiator snapshot.
 fn random_snapshot(seed: u64, n_initiators: usize) -> InfectedNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
     let social = epinions_like_scaled(0.008, &mut rng);
@@ -72,9 +68,9 @@ fn random_snapshot(seed: u64, n_initiators: usize) -> InfectedNetwork {
     build_scenario(&social, &config, &mut rng).snapshot
 }
 
-/// Dispatched RID reproduces the checked-in golden answers byte for
-/// byte: the trait seam may not perturb the pipeline's output encoding
-/// in any way.
+/// Registry-built RID reproduces the checked-in golden answers byte for
+/// byte: dispatch may not perturb the pipeline's output encoding in any
+/// way.
 #[test]
 fn dispatched_rid_matches_golden_fixtures_byte_for_byte() {
     let dir = golden_dir();
@@ -87,12 +83,9 @@ fn dispatched_rid_matches_golden_fixtures_byte_for_byte() {
             .expect("golden expected fixture exists");
 
         let detector = build(DetectorKind::Rid, &config).expect("golden configs are valid");
-        let found = detector
-            .detect_sources(&snapshot)
-            .expect("golden snapshots are valid inputs");
         let result = RidResult {
             config: Rid::from_config(config).expect("valid").config(),
-            detection: found.detection,
+            detection: detector.detect_ranked(&snapshot).detection,
         };
         assert_eq!(
             result.to_json_string(),
@@ -102,116 +95,40 @@ fn dispatched_rid_matches_golden_fixtures_byte_for_byte() {
     }
 }
 
-/// Every trait-dispatched detector agrees bit for bit with its legacy
-/// counterpart on the same snapshot, at every thread count.
+/// Every registered detector gives the same point estimate, objective
+/// bits and ranked list at 1, 2 and 4 threads.
 #[test]
-fn dispatch_is_bit_identical_to_legacy_across_thread_counts() {
+fn every_detector_is_thread_count_invariant() {
     let snapshot = random_snapshot(77, 12);
     let config = RidConfig {
         beta: 3.0,
         ..RidConfig::default()
     };
-    let legacy: Vec<(DetectorKind, Detection)> = vec![
-        (
-            DetectorKind::Rid,
-            Rid::from_config(config).expect("valid").detect(&snapshot),
-        ),
-        (
-            DetectorKind::RidTree,
-            RidTree::new(config.alpha).expect("valid").detect(&snapshot),
-        ),
-        (
-            DetectorKind::RidPositive,
-            RidPositive::new().detect(&snapshot),
-        ),
-        (
-            DetectorKind::RumorCentrality,
-            RumorCentrality::new().detect(&snapshot),
-        ),
-    ];
-    for threads in [1, 2, 4] {
-        for (kind, expected) in &legacy {
-            let got = with_threads(threads, || {
-                build(*kind, &config)
+    for kind in DetectorKind::ALL {
+        let detect = |threads| {
+            with_threads(threads, || {
+                build(kind, &config)
                     .expect("valid config")
-                    .detect_sources(&snapshot)
-                    .expect("valid snapshot")
-            });
+                    .detect_ranked(&snapshot)
+            })
+        };
+        let baseline = detect(1);
+        for threads in [2, 4] {
+            let got = detect(threads);
+            let label = kind.as_label();
             assert_eq!(
-                &got.detection,
-                expected,
-                "{}: dispatch diverged from legacy at threads={threads}",
-                kind.as_label()
+                got.detection, baseline.detection,
+                "{label}: point estimate diverged at threads={threads}"
             );
             assert_eq!(
                 got.detection.objective.to_bits(),
-                expected.objective.to_bits(),
-                "{}: objective bits diverged at threads={threads}",
-                kind.as_label()
+                baseline.detection.objective.to_bits(),
+                "{label}: objective bits diverged at threads={threads}"
+            );
+            assert_eq!(
+                got.ranked, baseline.ranked,
+                "{label}: ranked list diverged at threads={threads}"
             );
         }
-        // Jordan center has no legacy counterpart; pin thread-count
-        // invariance against its own single-thread answer instead.
-        let baseline = with_threads(1, || {
-            build(DetectorKind::JordanCenter, &config)
-                .expect("valid config")
-                .detect_sources(&snapshot)
-                .expect("valid snapshot")
-        });
-        let got = with_threads(threads, || {
-            build(DetectorKind::JordanCenter, &config)
-                .expect("valid config")
-                .detect_sources(&snapshot)
-                .expect("valid snapshot")
-        });
-        assert_eq!(
-            got.detection, baseline.detection,
-            "jordan_center: thread-count dependence at threads={threads}"
-        );
-        assert_eq!(got.ranked, baseline.ranked);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    // Randomized snapshots: dispatched RID ≡ legacy `Rid::detect`
-    // bit for bit, for arbitrary seeds, outbreak sizes, and β.
-    #[test]
-    fn dispatched_rid_equals_legacy_on_random_snapshots(
-        seed in 0u64..1_000,
-        n_initiators in 1usize..20,
-        beta_ix in 0usize..4,
-    ) {
-        let beta = [0.0, 0.1, 1.0, 3.0][beta_ix];
-        let snapshot = random_snapshot(seed, n_initiators);
-        let config = RidConfig { beta, ..RidConfig::default() };
-        let legacy = Rid::from_config(config).expect("valid").detect(&snapshot);
-        let got = build(DetectorKind::Rid, &config)
-            .expect("valid config")
-            .detect_sources(&snapshot)
-            .expect("valid snapshot");
-        prop_assert_eq!(&got.detection, &legacy);
-        prop_assert_eq!(
-            got.detection.objective.to_bits(),
-            legacy.objective.to_bits()
-        );
-    }
-
-    // Randomized snapshots: the rumor-centrality estimator's point
-    // detection matches core's legacy `RumorCentrality` exactly.
-    #[test]
-    fn dispatched_rumor_centrality_equals_legacy_on_random_snapshots(
-        seed in 0u64..1_000,
-        n_initiators in 1usize..20,
-    ) {
-        let snapshot = random_snapshot(seed, n_initiators);
-        let config = RidConfig::default();
-        let legacy = RumorCentrality::new().detect(&snapshot);
-        let got = build(DetectorKind::RumorCentrality, &config)
-            .expect("valid config")
-            .detect_sources(&snapshot)
-            .expect("valid snapshot");
-        prop_assert_eq!(&got.detection, &legacy);
     }
 }

@@ -146,8 +146,10 @@ fn snap_io_round_trip_preserves_detection() {
     let mut rng = StdRng::seed_from_u64(2);
     let social = epinions_like_scaled(0.005, &mut rng);
     let mut buf = Vec::new();
-    isomit::graph::io::write_snap(&social, &mut buf).unwrap();
-    let reloaded = isomit::graph::io::read_snap(buf.as_slice()).unwrap();
+    isomit::datasets::write_snap(&social, &mut buf).unwrap();
+    let (reloaded, _) =
+        isomit::datasets::load_snap(buf.as_slice(), &isomit::datasets::LoadOptions::default())
+            .unwrap();
     // SNAP drops weights; structure and signs survive.
     assert_eq!(reloaded.node_count(), social.node_count());
     assert_eq!(reloaded.edge_count(), social.edge_count());
