@@ -30,8 +30,8 @@
 use isomit_bench::report::{BenchReport, TimingStats};
 use isomit_core::{extract_cascade_forest, extract_cascade_forest_reference, Rid, RidConfig};
 use isomit_diffusion::{
-    estimate_infection_probabilities_seeded, estimate_infection_probabilities_wide,
-    estimate_infection_probabilities_wide_reference, DiffusionModel, InfectedNetwork, SeedSet,
+    estimate_infection_probabilities_wide_reference, par_estimate_infection_probabilities,
+    par_estimate_infection_probabilities_wide, DiffusionModel, InfectedNetwork, SeedSet,
 };
 use isomit_graph::{Edge, SignedDigraph};
 use rand::rngs::StdRng;
@@ -316,23 +316,38 @@ fn main() {
     // Stage 3b: wide Monte-Carlo comparison on the same workload — one
     // full 64-lane batch through the bitplane engine against the same
     // trial count through the production scalar estimator, plus the
-    // scalar wide-reference replay that pins bit-identity. The speedup
-    // recorded here is what `cargo run -p xtask -- bench-check` gates
-    // against the committed floor in `bench_baselines.json`.
+    // scalar wide-reference replay that pins bit-identity. Both timed
+    // estimators run in a 1-thread pool, so the speedup compares one
+    // core with one core; it is what `cargo run -p xtask -- bench-check`
+    // gates against the committed floor in `bench_baselines.json`.
     const WIDE_TRIALS: usize = 64;
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5EED_FFFF);
     let mc_seeds = SeedSet::sample(&graph, opts.initiators, 0.5, &mut rng);
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool construction cannot fail");
 
     let t0 = Instant::now();
-    let scalar =
-        estimate_infection_probabilities_seeded(&model, &graph, &mc_seeds, WIDE_TRIALS, opts.seed)
-            .expect("sampled seeds lie within the graph");
+    let scalar = one_thread
+        .install(|| {
+            par_estimate_infection_probabilities(&model, &graph, &mc_seeds, WIDE_TRIALS, opts.seed)
+        })
+        .expect("sampled seeds lie within the graph");
     let sampling_scalar_ns = t0.elapsed().as_nanos() as f64;
 
     let t0 = Instant::now();
-    let wide =
-        estimate_infection_probabilities_wide(&model, &graph, &mc_seeds, WIDE_TRIALS, opts.seed)
-            .expect("sampled seeds lie within the graph");
+    let wide = one_thread
+        .install(|| {
+            par_estimate_infection_probabilities_wide(
+                &model,
+                &graph,
+                &mc_seeds,
+                WIDE_TRIALS,
+                opts.seed,
+            )
+        })
+        .expect("sampled seeds lie within the graph");
     let sampling_wide_ns = t0.elapsed().as_nanos() as f64;
 
     let t0 = Instant::now();

@@ -9,6 +9,8 @@
 //!   against the scalar `mc` path to report the wide speedup that
 //!   `cargo run -p xtask -- bench-check` gates on.
 //!
+//! A "sequential" timing is the same estimator call in a 1-thread pool.
+//!
 //! A `speedup` metric is only recorded for parallel-vs-sequential
 //! comparisons taken with **two or more** rayon threads: a 1-thread
 //! "parallel" run measures scheduling overhead, not parallelism, and
@@ -24,7 +26,6 @@ use isomit_bench::report::{BenchReport, TimingStats};
 use isomit_bench::{ExpOptions, Network};
 use isomit_datasets::paper_weights;
 use isomit_diffusion::{
-    estimate_infection_probabilities_seeded, estimate_infection_probabilities_wide,
     estimate_infection_probabilities_wide_reference, par_estimate_infection_probabilities,
     par_estimate_infection_probabilities_wide, Mfc, SeedSet,
 };
@@ -41,6 +42,10 @@ fn main() {
     let n_seeds = opts.initiators_for(Network::Epinions);
     let seeds = SeedSet::sample(&diffusion, n_seeds, 0.5, &mut rng);
     let model = Mfc::new(3.0).expect("valid alpha");
+    let one_thread = ExpOptions {
+        threads: Some(1),
+        ..opts
+    };
 
     opts.install(|| {
         let threads = rayon::current_num_threads();
@@ -51,11 +56,13 @@ fn main() {
             threads
         );
 
-        // -- scalar path: sequential reference vs rayon parallel --
+        // -- scalar path: 1-thread pool vs rayon parallel --
         let t0 = Instant::now();
-        let sequential =
-            estimate_infection_probabilities_seeded(&model, &diffusion, &seeds, runs, opts.seed)
-                .expect("sampled seeds lie within the diffusion network");
+        let sequential = one_thread
+            .install(|| {
+                par_estimate_infection_probabilities(&model, &diffusion, &seeds, runs, opts.seed)
+            })
+            .expect("sampled seeds lie within the diffusion network");
         let seq_ns = t0.elapsed().as_nanos() as f64;
 
         let t1 = Instant::now();
@@ -85,9 +92,13 @@ fn main() {
 
         // -- wide path: 64-lane bitplanes vs its scalar oracle --
         let t2 = Instant::now();
-        let wide_seq =
-            estimate_infection_probabilities_wide(&model, &diffusion, &seeds, runs, opts.seed)
-                .expect("sampled seeds lie within the diffusion network");
+        let wide_seq = one_thread
+            .install(|| {
+                par_estimate_infection_probabilities_wide(
+                    &model, &diffusion, &seeds, runs, opts.seed,
+                )
+            })
+            .expect("sampled seeds lie within the diffusion network");
         let wide_seq_ns = t2.elapsed().as_nanos() as f64;
 
         let t3 = Instant::now();

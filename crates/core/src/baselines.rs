@@ -4,7 +4,6 @@ use crate::forest_extraction::extract_cascade_forest;
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::{maximum_branching, weakly_connected_components, WeightedArc};
 use isomit_graph::Sign;
-use serde::{Deserialize, Serialize};
 
 /// The **RID-Tree** baseline (§IV-B1): run the first two stages of RID —
 /// component detection and maximum-likelihood cascade-forest extraction —
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// isolated mutual-infection cycle, where the paper's root/no-in-link
 /// equivalence breaks; those cycle-break roots are a coin flip and are
 /// *not* reported, keeping the baseline's precision-1 property.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RidTree {
     alpha: f64,
 }
@@ -88,7 +87,7 @@ impl InitiatorDetector for RidTree {
 /// surface as (mostly false) roots, which reproduces the paper's
 /// observation that RID-Positive detects many initiators at low
 /// precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RidPositive {
     _private: (),
 }

@@ -1,6 +1,5 @@
 use isomit_diffusion::InfectedNetwork;
 use isomit_graph::{NodeId, NodeState};
-use serde::{Deserialize, Serialize};
 
 /// One detected rumor initiator: identity (in **original-network** ids)
 /// plus inferred initial state.
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Tree-root baselines report the observed snapshot state (possibly
 /// [`NodeState::Unknown`]); the full RID dynamic program always infers a
 /// concrete `+1`/`−1` state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectedInitiator {
     /// The initiator's id in the original diffusion network.
     pub node: NodeId,
@@ -18,7 +17,7 @@ pub struct DetectedInitiator {
 
 /// The output of an [`InitiatorDetector`]: the inferred initiator set
 /// `(I*, S*)` together with pipeline diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// Detected initiators, ascending by node id.
     pub initiators: Vec<DetectedInitiator>,
@@ -73,7 +72,7 @@ impl Detection {
 /// Scores are only comparable *within* one detection run (and, for the
 /// per-component estimators, only within one component — the list is
 /// still totally ordered by score for determinism). Higher is better.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedSource {
     /// Candidate id in the original diffusion network.
     pub node: NodeId,
@@ -93,7 +92,7 @@ pub struct RankedSource {
 /// detectors (rumor centrality, Jordan center) rank **every** node of
 /// the snapshot, descending by score with ascending node id as the
 /// tie-break.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceDetection {
     /// The point estimate.
     pub detection: Detection,

@@ -7,7 +7,6 @@ use isomit_forest::{
 };
 use isomit_graph::{GraphError, NodeId, NodeState, Sign};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
 thread_local! {
@@ -60,7 +59,7 @@ pub fn extraction_run_count() -> u64 {
 /// Node identity is layered: a tree stores *snapshot ids* (ids within the
 /// [`InfectedNetwork`]'s subgraph) and additionally numbers its own nodes
 /// with dense *local ids* `0..len` used by the dynamic program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeTree {
     /// Local id → snapshot id.
     nodes: Vec<NodeId>,
@@ -152,8 +151,7 @@ impl CascadeTree {
     ///
     /// [`extract_cascade_forest`] upholds these by construction and
     /// re-asserts them in debug builds; call this on trees arriving
-    /// through other channels (e.g. serde deserialization), not
-    /// per-query.
+    /// through other channels, not per-query.
     ///
     /// # Errors
     ///

@@ -1,11 +1,10 @@
 use crate::detection::{Detection, InitiatorDetector};
 use crate::error::RidError;
 use isomit_diffusion::{InfectedNetwork, Mfc};
-use serde::{Deserialize, Serialize};
 
 /// Which per-tree objective RID optimizes when selecting the number of
 /// initiators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RidObjective {
     /// The paper's objective as printed (§III-D): maximize
     /// `OPT = Σ_u P(u, s(u) | I, S)` − `(k−1)·β`. Per-node probabilities
@@ -29,7 +28,7 @@ pub enum RidObjective {
 /// with [`Rid::from_config`], which applies the same parameter checks
 /// as [`Rid::new`]. The default matches the paper's headline setting:
 /// `α = 3`, `β = 0.1`, probability-sum objective with external support.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RidConfig {
     /// The MFC boosting coefficient `α` (must be finite and `>= 1`).
     pub alpha: f64,
@@ -96,7 +95,7 @@ impl Default for RidConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rid {
     alpha: f64,
     beta: f64,

@@ -1,7 +1,6 @@
 // lint:allow-file(cast-truncation) generator node ids are loop indices over the configured node count, which SignedDigraphBuilder re-validates against u32::MAX on every add_edge; a truncated id would fail graph construction, not corrupt it
 use isomit_graph::{Edge, NodeId, Sign, SignedDigraph, SignedDigraphBuilder};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 // lint:allow(determinism) HashSet is used for insert-only membership tests (duplicate-edge rejection), never iterated, so hash order cannot leak into the output
 use std::collections::{BTreeSet, HashSet};
 
@@ -21,7 +20,7 @@ use std::collections::{BTreeSet, HashSet};
 /// [`mean_out_degree`]: PaConfig::mean_out_degree
 /// [`uniform_edge_fraction`]: PaConfig::uniform_edge_fraction
 /// [`distrusted_fraction`]: PaConfig::distrusted_fraction
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaConfig {
     /// Number of nodes to generate.
     pub nodes: usize,

@@ -6,11 +6,10 @@
 
 use isomit_graph::{NodeId, Sign, SignedDigraph, SignedDigraphBuilder};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Configuration of the polarized-community generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolarizedConfig {
     /// Total number of nodes, split evenly across camps.
     pub nodes: usize,

@@ -2,11 +2,10 @@ use crate::weighting::paper_weights;
 use isomit_diffusion::{Cascade, DiffusionModel, InfectedNetwork, Mfc, SeedSet};
 use isomit_graph::{NodeId, SignedDigraph};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one end-to-end detection experiment, defaulting to the
 /// paper's §IV-B3 setup (`N = 1000`, `θ = 0.5`, `α = 3`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of planted rumor initiators (`N`).
     pub n_initiators: usize,

@@ -5,13 +5,12 @@ use crate::error::DetectorError;
 use crate::jordan::JordanCenter;
 use crate::rumor::RumorCentralityDetector;
 use isomit_core::{InitiatorDetector, Rid, RidConfig, RidPositive, RidTree};
-use serde::{Deserialize, Serialize};
 
 /// Every detector the subsystem can build, by stable wire label.
 ///
 /// Labels are part of the service protocol (the `rid` verb's `detector`
 /// field) and of the `BENCH_detectors.json` schema; they never change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorKind {
     /// The paper's full RID framework (label `rid`).
     Rid,

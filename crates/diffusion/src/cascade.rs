@@ -1,10 +1,9 @@
 // lint:allow-file(indexing) state/parent vectors are allocated with node_count entries; seeds are validated against the graph, event nodes come from the CSR, and the pub accessors document their out-of-bounds panic
 use crate::SeedSet;
 use isomit_graph::{NodeId, NodeState, Sign};
-use serde::{Deserialize, Serialize};
 
 /// One successful activation (or flip) during a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivationEvent {
     /// Diffusion round in which the activation happened (seeds are
     /// round 0; their first attempts land in round 1).
@@ -32,7 +31,7 @@ pub struct ActivationEvent {
 ///   state (the paper's *activation link*, Definition 4). Under flipping
 ///   these can in rare interleavings form 2-cycles, which is why the
 ///   ground-truth forest helpers use first parents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cascade {
     states: Vec<NodeState>,
     first_parent: Vec<Option<NodeId>>,

@@ -2,7 +2,6 @@ use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeState, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The classic **Independent Cascade** model of Kempe, Kleinberg & Tardos
 /// (KDD 2003), the unsigned baseline the paper contrasts MFC with
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndependentCascade {
     _private: (),
 }

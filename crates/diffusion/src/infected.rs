@@ -5,7 +5,6 @@ use isomit_graph::{
     GraphError, NodeId, NodeMapping, NodeState, SignedDigraph, SignedDigraphBuilder,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The snapshot handed to the detection side of the paper: the infected
 /// diffusion network `G_I` (Definition 3) together with the observed node
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// [`with_masked_states`](InfectedNetwork::with_masked_states) —
 /// [`NodeState::Unknown`]. `Inactive` never appears: inactive nodes are
 /// by definition outside `G_I`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfectedNetwork {
     graph: SignedDigraph,
     states: Vec<NodeState>,
@@ -304,8 +303,7 @@ impl InfectedNetwork {
     ///
     /// The checked constructors uphold these and re-assert them in debug
     /// builds; call this at ingest time on snapshots arriving through
-    /// other channels (e.g. serde deserialization of untrusted data), not
-    /// per-query.
+    /// other channels, not per-query.
     ///
     /// # Errors
     ///

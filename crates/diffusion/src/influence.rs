@@ -9,13 +9,13 @@
 //! monotone submodular (true for IC/LT; MFC's flipping breaks the
 //! guarantee in theory but greedy remains the standard heuristic).
 
-use crate::{DiffusionError, DiffusionModel, SeedSet};
+use crate::montecarlo::check_runs;
+use crate::{par_estimate_infection_probabilities, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeId, Sign, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Result of [`maximize_influence`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfluenceResult {
     /// Chosen seeds in selection order (all seeded with
     /// [`Sign::Positive`]).
@@ -38,7 +38,9 @@ impl InfluenceResult {
     }
 }
 
-fn estimate_spread<M: DiffusionModel + ?Sized>(
+/// Expected spread of `seeds` (all positive): one estimator call whose
+/// master seed is the next draw of `rng`.
+fn estimate_spread<M: DiffusionModel + Sync + ?Sized>(
     model: &M,
     graph: &SignedDigraph,
     seeds: &[NodeId],
@@ -46,11 +48,9 @@ fn estimate_spread<M: DiffusionModel + ?Sized>(
     rng: &mut dyn RngCore,
 ) -> Result<f64, DiffusionError> {
     let seed_set = SeedSet::from_pairs(seeds.iter().map(|&n| (n, Sign::Positive)))?;
-    let mut total = 0usize;
-    for _ in 0..runs {
-        total += model.simulate(graph, &seed_set, rng)?.infected_count();
-    }
-    Ok(total as f64 / runs as f64)
+    let estimate =
+        par_estimate_infection_probabilities(model, graph, &seed_set, runs, rng.next_u64())?;
+    Ok(estimate.expected_infected())
 }
 
 /// Greedily selects `k` seeds maximizing the Monte-Carlo estimate of the
@@ -60,15 +60,18 @@ fn estimate_spread<M: DiffusionModel + ?Sized>(
 /// against the current seed set — typically a 10–100× saving over plain
 /// greedy at identical output.
 ///
-/// `runs` Monte-Carlo simulations back every spread estimate; the
-/// estimates (and thus the selection) are deterministic given `rng`.
+/// `runs` Monte-Carlo simulations back every spread estimate. Each
+/// estimate is one [`par_estimate_infection_probabilities`] call seeded
+/// by the next draw of `rng`, so the estimates (and thus the selection)
+/// are deterministic given `rng` and bit-identical for every rayon
+/// thread count.
 ///
 /// # Errors
 ///
 /// Returns [`DiffusionError::InvalidParameter`] if `k` exceeds the node
 /// count or `runs == 0`, or any error of the underlying
 /// [`DiffusionModel::simulate`] calls.
-pub fn maximize_influence<M: DiffusionModel + ?Sized>(
+pub fn maximize_influence<M: DiffusionModel + Sync + ?Sized>(
     model: &M,
     graph: &SignedDigraph,
     k: usize,
@@ -82,13 +85,7 @@ pub fn maximize_influence<M: DiffusionModel + ?Sized>(
             constraint: "must not exceed the node count",
         });
     }
-    if runs == 0 {
-        return Err(DiffusionError::InvalidParameter {
-            name: "runs",
-            value: 0.0,
-            constraint: "must be positive",
-        });
-    }
+    check_runs(runs)?;
 
     // Lazy queue of (last-known marginal gain, node, round it was
     // computed in). BinaryHeap is a max-heap over the f64 gain via

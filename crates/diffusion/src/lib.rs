@@ -72,17 +72,13 @@ pub use infected::InfectedNetwork;
 pub use influence::{maximize_influence, InfluenceResult};
 pub use lt::LinearThreshold;
 pub use mfc::Mfc;
-pub use model::{mean_infected, DiffusionModel};
-pub use montecarlo::{
-    estimate_infection_probabilities, estimate_infection_probabilities_seeded,
-    par_estimate_infection_probabilities, InfectionEstimate,
-};
+pub use model::DiffusionModel;
+pub use montecarlo::{par_estimate_infection_probabilities, InfectionEstimate};
 pub use pic::PolarityIc;
 pub use seed::SeedSet;
 pub use sir::Sir;
 pub use timeline::{CascadeTimeline, RoundStats};
 pub use wide::{
-    estimate_infection_probabilities_wide, estimate_infection_probabilities_wide_reference,
-    par_estimate_infection_probabilities_wide, simulate_wide, simulate_wide_reference,
-    wide_lane_key, WideBatch, WideSimulator, MAX_LANES,
+    estimate_infection_probabilities_wide_reference, par_estimate_infection_probabilities_wide,
+    simulate_wide_reference, wide_lane_key, WideBatch, WideSimulator, MAX_LANES,
 };

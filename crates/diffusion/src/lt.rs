@@ -2,7 +2,6 @@ use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeId, NodeState, Sign, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The **Linear Threshold** model of Kempe, Kleinberg & Tardos (KDD
 /// 2003), adapted to signed state-carrying networks for comparison
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Incoming weights are normalized by the node's total in-weight so the
 /// classic `Σ w ≤ 1` pre-condition holds on arbitrary inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinearThreshold {
     _private: (),
 }

@@ -2,7 +2,6 @@ use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeState, Sign, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The paper's **asyMmetric Flipping Cascade** model (Algorithm 1).
 ///
@@ -53,7 +52,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mfc {
     alpha: f64,
     max_rounds: usize,

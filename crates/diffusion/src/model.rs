@@ -53,43 +53,9 @@ pub(crate) fn gen_unit(rng: &mut (impl RngCore + ?Sized)) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Runs `runs` independent simulations and returns the average infected
-/// count — the basic statistic of the paper's diffusion analyses.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls.
-pub fn mean_infected<M, R>(
-    model: &M,
-    graph: &SignedDigraph,
-    seeds: &SeedSet,
-    runs: usize,
-    rng: &mut R,
-) -> Result<f64, DiffusionError>
-where
-    M: DiffusionModel + ?Sized,
-    R: RngCore,
-{
-    if runs == 0 {
-        return Err(DiffusionError::InvalidParameter {
-            name: "runs",
-            value: 0.0,
-            constraint: "must be positive",
-        });
-    }
-    let mut total = 0usize;
-    for _ in 0..runs {
-        total += model.simulate(graph, seeds, rng)?.infected_count();
-    }
-    Ok(total as f64 / runs as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mfc;
-    use isomit_graph::{Edge, NodeId, Sign};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -100,32 +66,5 @@ mod tests {
             let x = gen_unit(&mut rng);
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn mean_infected_on_deterministic_chain() {
-        let g = SignedDigraph::from_edges(
-            3,
-            [
-                Edge::new(NodeId(0), NodeId(1), Sign::Positive, 1.0),
-                Edge::new(NodeId(1), NodeId(2), Sign::Positive, 1.0),
-            ],
-        )
-        .unwrap();
-        let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let model = Mfc::new(2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mean = mean_infected(&model, &g, &seeds, 4, &mut rng).unwrap();
-        assert!((mean - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_infected_rejects_zero_runs() {
-        let g = SignedDigraph::from_edges(1, []).unwrap();
-        let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let model = Mfc::new(2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let err = mean_infected(&model, &g, &seeds, 0, &mut rng).unwrap_err();
-        assert!(err.to_string().contains("runs"));
     }
 }

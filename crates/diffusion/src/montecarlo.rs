@@ -6,22 +6,22 @@
 //!
 //! # Determinism
 //!
-//! The seeded entry points give every run its own RNG stream derived
-//! from a master seed
+//! [`par_estimate_infection_probabilities`] gives every run its own RNG
+//! stream derived from a master seed
 //! (`StdRng::seed_from_u64(master ^ run_index · RUN_STREAM)`), so run
 //! `i` draws the same numbers no matter which thread executes it or in
-//! what order. Per-run tallies are `u32` counters whose merge
-//! (element-wise addition) is commutative and associative, which makes
-//! [`par_estimate_infection_probabilities`] **bit-identical** to
-//! [`estimate_infection_probabilities_seeded`] for every thread count.
+//! what order. Per-run outcomes land in a `Tally` of `u32` counters
+//! whose merge (element-wise addition) is commutative and associative,
+//! so the estimate is **bit-identical** for every thread count. A
+//! sequential run is the same call in a 1-thread rayon pool, where the
+//! fold is the plain loop over runs `0..runs`.
 
 use crate::{DiffusionError, DiffusionModel, SeedSet};
-use isomit_graph::{json, NodeId, SignedDigraph};
+use isomit_graph::{json, NodeId, NodeState, SignedDigraph};
 use isomit_telemetry::{names, Histogram};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Cached handle into the process-global telemetry registry: one
@@ -33,7 +33,7 @@ fn batch_histogram() -> &'static Histogram {
 }
 
 /// Empirical per-node outcome frequencies over repeated simulations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfectionEstimate {
     runs: usize,
     infected: Vec<u32>,
@@ -41,17 +41,6 @@ pub struct InfectionEstimate {
 }
 
 impl InfectionEstimate {
-    /// Assembles an estimate from per-node tallies (the wide engine's
-    /// popcount tallies use this; lengths are the caller's invariant).
-    pub(crate) fn from_tallies(runs: usize, infected: Vec<u32>, positive: Vec<u32>) -> Self {
-        debug_assert_eq!(infected.len(), positive.len());
-        InfectionEstimate {
-            runs,
-            infected,
-            positive,
-        }
-    }
-
     /// Number of simulation runs behind the estimate.
     pub fn runs(&self) -> usize {
         self.runs
@@ -108,7 +97,9 @@ impl InfectionEstimate {
     /// # Errors
     ///
     /// Returns [`json::JsonError`] on malformed input, mismatched array
-    /// lengths, or counts that do not fit a `u32`.
+    /// lengths, counts that do not fit a `u32`, `runs == 0`, or counts
+    /// no estimate can hold: `infected[v] > runs` or
+    /// `positive[v] > infected[v]`.
     pub fn from_json_value(value: &json::Value) -> Result<Self, json::JsonError> {
         let runs = value
             .require("runs")?
@@ -134,6 +125,21 @@ impl InfectionEstimate {
                 "`infected` and `positive` must have the same length",
             ));
         }
+        if runs == 0 {
+            return Err(json::JsonError::new("`runs` must be positive"));
+        }
+        for (&inf, &pos) in infected.iter().zip(&positive) {
+            if inf as usize > runs {
+                return Err(json::JsonError::new(
+                    "`infected` counts must not exceed `runs`",
+                ));
+            }
+            if pos > inf {
+                return Err(json::JsonError::new(
+                    "`positive` counts must not exceed `infected` counts",
+                ));
+            }
+        }
         Ok(InfectionEstimate {
             runs,
             infected,
@@ -142,8 +148,8 @@ impl InfectionEstimate {
     }
 }
 
-/// Checks the shared preconditions of the estimators.
-fn check_runs(runs: usize) -> Result<(), DiffusionError> {
+/// Checks the shared `runs` precondition of every estimator.
+pub(crate) fn check_runs(runs: usize) -> Result<(), DiffusionError> {
     if runs == 0 {
         return Err(DiffusionError::InvalidParameter {
             name: "runs",
@@ -154,64 +160,36 @@ fn check_runs(runs: usize) -> Result<(), DiffusionError> {
     Ok(())
 }
 
-/// Runs `runs` independent simulations of `model` and tallies per-node
-/// outcome frequencies.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls.
-pub fn estimate_infection_probabilities<M>(
-    model: &M,
-    graph: &SignedDigraph,
-    seeds: &SeedSet,
-    runs: usize,
-    rng: &mut dyn RngCore,
-) -> Result<InfectionEstimate, DiffusionError>
-where
-    M: DiffusionModel + ?Sized,
-{
-    check_runs(runs)?;
-    let mut tally = Tally::new(graph.node_count());
-    for _ in 0..runs {
-        tally.record(&model.simulate(graph, seeds, rng)?);
-    }
-    Ok(InfectionEstimate {
-        runs,
-        infected: tally.infected,
-        positive: tally.positive,
-    })
-}
-
-/// Per-worker outcome tallies; merging two is element-wise addition,
-/// which commutes — the property the parallel estimator's determinism
-/// rests on.
-struct Tally {
-    infected: Vec<u32>,
-    positive: Vec<u32>,
+/// Per-worker outcome tallies of every estimator, scalar and wide;
+/// merging two is element-wise addition, which commutes — the property
+/// the parallel estimators' determinism rests on.
+pub(crate) struct Tally {
+    pub(crate) infected: Vec<u32>,
+    pub(crate) positive: Vec<u32>,
 }
 
 impl Tally {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Tally {
             infected: vec![0u32; n],
             positive: vec![0u32; n],
         }
     }
 
-    fn record(&mut self, cascade: &crate::Cascade) {
+    /// Counts one run's final per-node states.
+    pub(crate) fn record(&mut self, states: &[NodeState]) {
         let counters = self.infected.iter_mut().zip(self.positive.iter_mut());
-        for ((inf, pos), state) in counters.zip(cascade.states()) {
+        for ((inf, pos), state) in counters.zip(states) {
             if state.is_active() {
                 *inf += 1;
             }
-            if *state == isomit_graph::NodeState::Positive {
+            if *state == NodeState::Positive {
                 *pos += 1;
             }
         }
     }
 
-    fn merge(mut self, other: Tally) -> Tally {
+    pub(crate) fn merge(mut self, other: Tally) -> Tally {
         for (a, b) in self.infected.iter_mut().zip(&other.infected) {
             *a += b;
         }
@@ -219,6 +197,15 @@ impl Tally {
             *a += b;
         }
         self
+    }
+
+    /// The estimate behind `runs` recorded runs.
+    pub(crate) fn into_estimate(self, runs: usize) -> InfectionEstimate {
+        InfectionEstimate {
+            runs,
+            infected: self.infected,
+            positive: self.positive,
+        }
     }
 }
 
@@ -237,51 +224,15 @@ fn run_rng(master_seed: u64, run_index: usize) -> StdRng {
     StdRng::seed_from_u64(master_seed ^ (run_index as u64).wrapping_mul(RUN_STREAM))
 }
 
-/// Sequential reference implementation of the seeded estimator: runs
-/// `runs` independent simulations, run `i` drawing from its own
-/// index-derived stream of `master_seed`.
+/// Runs `runs` independent simulations of `model`, run `i` drawing from
+/// its own index-derived stream of `master_seed`, and tallies per-node
+/// outcome frequencies.
 ///
-/// [`par_estimate_infection_probabilities`] produces bit-identical
-/// output; keep this path for single-threaded use and as the regression
-/// oracle.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls.
-pub fn estimate_infection_probabilities_seeded<M>(
-    model: &M,
-    graph: &SignedDigraph,
-    seeds: &SeedSet,
-    runs: usize,
-    master_seed: u64,
-) -> Result<InfectionEstimate, DiffusionError>
-where
-    M: DiffusionModel + ?Sized,
-{
-    check_runs(runs)?;
-    let _span = batch_histogram().span();
-    let mut tally = Tally::new(graph.node_count());
-    for run in 0..runs {
-        let mut rng = run_rng(master_seed, run);
-        tally.record(&model.simulate(graph, seeds, &mut rng)?);
-    }
-    Ok(InfectionEstimate {
-        runs,
-        infected: tally.infected,
-        positive: tally.positive,
-    })
-}
-
-/// Parallel estimator: distributes the `runs` simulations across the
-/// current rayon worker count (configure with `RAYON_NUM_THREADS` or
-/// `ThreadPool::install`), **bit-identical** to
-/// [`estimate_infection_probabilities_seeded`] with the same arguments.
-///
-/// Each run seeds its own [`StdRng`] from its index-derived stream of
-/// `master_seed` and workers accumulate into thread-local tallies that
-/// are merged by element-wise addition, so neither scheduling order nor
-/// thread count can influence the result.
+/// The runs are distributed across the current rayon worker count
+/// (configure with `RAYON_NUM_THREADS` or `ThreadPool::install`);
+/// workers accumulate into thread-local tallies merged by element-wise
+/// addition, so neither scheduling order nor thread count can influence
+/// the result. Inside a 1-thread pool this is the plain sequential loop.
 ///
 /// # Errors
 ///
@@ -308,16 +259,12 @@ where
         |acc: Result<Tally, DiffusionError>, run| {
             let mut acc = acc?;
             let mut rng = run_rng(master_seed, run);
-            acc.record(&model.simulate(graph, seeds, &mut rng)?);
+            acc.record(model.simulate(graph, seeds, &mut rng)?.states());
             Ok(acc)
         },
         |a, b| Ok(a?.merge(b?)),
     )?;
-    Ok(InfectionEstimate {
-        runs,
-        infected: tally.infected,
-        positive: tally.positive,
-    })
+    Ok(tally.into_estimate(runs))
 }
 
 #[cfg(test)]
@@ -325,8 +272,6 @@ mod tests {
     use super::*;
     use crate::{IndependentCascade, Mfc};
     use isomit_graph::{Edge, Sign};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn tree_ic_probabilities_match_path_products() {
@@ -342,15 +287,9 @@ mod tests {
         )
         .unwrap();
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let mut rng = StdRng::seed_from_u64(0);
-        let est = estimate_infection_probabilities(
-            &IndependentCascade::new(),
-            &g,
-            &seeds,
-            40_000,
-            &mut rng,
-        )
-        .unwrap();
+        let est =
+            par_estimate_infection_probabilities(&IndependentCascade::new(), &g, &seeds, 40_000, 0)
+                .unwrap();
         assert_eq!(est.infection_probability(NodeId(0)), 1.0);
         for (node, expected) in [(1u32, 0.6), (2, 0.3), (3, 0.3)] {
             let p = est.infection_probability(NodeId(node));
@@ -370,9 +309,8 @@ mod tests {
             SignedDigraph::from_edges(2, [Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.3)])
                 .unwrap();
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let mut rng = StdRng::seed_from_u64(1);
         let est =
-            estimate_infection_probabilities(&Mfc::new(3.0).unwrap(), &g, &seeds, 20_000, &mut rng)
+            par_estimate_infection_probabilities(&Mfc::new(3.0).unwrap(), &g, &seeds, 20_000, 1)
                 .unwrap();
         // Boosted probability min(1, 3·0.3) = 0.9.
         let p = est.infection_probability(NodeId(1));
@@ -385,15 +323,9 @@ mod tests {
             SignedDigraph::from_edges(2, [Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5)])
                 .unwrap();
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let mut rng = StdRng::seed_from_u64(2);
-        let est = estimate_infection_probabilities(
-            &IndependentCascade::new(),
-            &g,
-            &seeds,
-            10_000,
-            &mut rng,
-        )
-        .unwrap();
+        let est =
+            par_estimate_infection_probabilities(&IndependentCascade::new(), &g, &seeds, 10_000, 2)
+                .unwrap();
         let total = est.expected_infected();
         assert!((total - 1.5).abs() < 0.05, "expected size {total}");
         assert_eq!(est.runs(), 10_000);
@@ -403,10 +335,27 @@ mod tests {
     fn zero_runs_is_rejected() {
         let g = SignedDigraph::from_edges(1, []).unwrap();
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let mut rng = StdRng::seed_from_u64(0);
         let err =
-            estimate_infection_probabilities(&IndependentCascade::new(), &g, &seeds, 0, &mut rng)
+            par_estimate_infection_probabilities(&IndependentCascade::new(), &g, &seeds, 0, 0)
                 .unwrap_err();
         assert!(err.to_string().contains("runs"));
+    }
+
+    #[test]
+    fn decoder_rejects_counts_no_estimate_can_hold() {
+        for (input, needle) in [
+            (r#"{"runs":0,"infected":[1],"positive":[1]}"#, "runs"),
+            (r#"{"runs":2,"infected":[5],"positive":[9]}"#, "infected"),
+            (r#"{"runs":2,"infected":[1],"positive":[2]}"#, "positive"),
+        ] {
+            let value = json::Value::parse(input).unwrap();
+            let err = InfectionEstimate::from_json_value(&value).unwrap_err();
+            assert!(err.to_string().contains(needle), "{input}: {err}");
+        }
+        // The boundary cases stay valid: every run infected, every
+        // infection positive.
+        let value = json::Value::parse(r#"{"runs":2,"infected":[2],"positive":[2]}"#).unwrap();
+        let est = InfectionEstimate::from_json_value(&value).unwrap();
+        assert_eq!(est.positive_probability(NodeId(0)), 1.0);
     }
 }

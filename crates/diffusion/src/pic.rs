@@ -2,7 +2,6 @@ use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeState, Sign, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The **Polarity-related Independent Cascade** model of Li et al.
 /// (PLOS ONE 2014), cited by the paper (§V) as the prior signed diffusion
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// `δ ∈ (0, 1]` is the negative-opinion damping factor (people are less
 /// inclined to propagate disbelief). There is no flipping and no trust
 /// boosting — exactly the two mechanisms MFC adds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolarityIc {
     delta: f64,
 }

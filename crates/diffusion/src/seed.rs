@@ -2,7 +2,6 @@ use crate::DiffusionError;
 use isomit_graph::{NodeId, Sign, SignedDigraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A set of rumor initiators with their initial opinions — the paper's
@@ -25,7 +24,7 @@ use std::collections::BTreeSet;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SeedSet {
     seeds: Vec<(NodeId, Sign)>,
 }

@@ -2,7 +2,6 @@ use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeId, NodeState, SignedDigraph};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A signed **Susceptible-Infectious-Recovered** epidemic model (Hethcote,
 /// SIAM Review 2000), the family underlying Shah & Zaman's rumor-centrality
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Unlike IC, an infectious node keeps attempting a susceptible neighbour
 /// every round until it recovers, so low-weight edges eventually fire —
 /// the classic epidemic behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sir {
     gamma: f64,
     max_rounds: usize,

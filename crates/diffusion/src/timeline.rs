@@ -4,10 +4,9 @@
 
 use crate::Cascade;
 use isomit_graph::{NodeId, Sign};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of one diffusion round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundStats {
     /// Nodes activated for the first time in this round.
     pub new_infections: usize,
@@ -42,7 +41,7 @@ pub struct RoundStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeTimeline {
     /// `rounds[t]` covers diffusion round `t + 1` (seeds are round 0).
     rounds: Vec<RoundStats>,

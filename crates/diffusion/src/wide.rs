@@ -36,13 +36,16 @@
 //! coordinates (`mix` is the SplitMix64 finalizer). Draw *order* is
 //! irrelevant by construction, so a scalar replay of one lane
 //! ([`simulate_wide_reference`]) consumes exactly the same randomness
-//! as the 64-lane engine, and [`estimate_infection_probabilities_wide`]
+//! as the 64-lane engine, and [`par_estimate_infection_probabilities_wide`]
 //! is **bit-identical** to
 //! [`estimate_infection_probabilities_wide_reference`] for every batch
 //! width, thread count, and trial count. Both paths visit frontier
 //! nodes in ascending node order (within-round activations are applied
 //! immediately, as in the scalar [`Mfc`] engine), which pins the one
 //! remaining order-dependence.
+//!
+//! As for the scalar estimator, a sequential run is the same call in a
+//! 1-thread rayon pool.
 //!
 //! Note the wide engine is *distributionally* equivalent to
 //! [`Mfc::simulate`] but not bit-identical to it: the scalar engine
@@ -55,12 +58,12 @@
 //! A trial count that is not a multiple of 64 simply runs its final
 //! batch with fewer lanes: lane keys are derived from the *global*
 //! trial index (`splitmix64(master ⊕ trial·RUN_STREAM)`, the same
-//! spread the sequential estimators use), so trial 70 draws the same
+//! spread the scalar estimator uses), so trial 70 draws the same
 //! numbers whether it runs as lane 6 of batch 1 or alone in a width-1
 //! batch.
 
-use crate::montecarlo::RUN_STREAM;
-use crate::{DiffusionError, InfectedNetwork, InfectionEstimate, Mfc, SeedSet};
+use crate::montecarlo::{check_runs, Tally, RUN_STREAM};
+use crate::{DiffusionError, InfectionEstimate, Mfc, SeedSet};
 use isomit_graph::{NodeId, NodeState, SignedDigraph};
 use isomit_telemetry::{names, Counter, Histogram};
 use rayon::prelude::*;
@@ -70,8 +73,8 @@ use std::sync::OnceLock;
 /// the `u64` bitplanes.
 pub const MAX_LANES: usize = 64;
 
-/// Cached telemetry handles (amortized over batches, like the
-/// sequential estimator's `mc.batch_ns`).
+/// Cached telemetry handles (amortized over batches, like the scalar
+/// estimator's `mc.batch_ns`).
 fn wide_batch_histogram() -> &'static Histogram {
     static HIST: OnceLock<Histogram> = OnceLock::new();
     HIST.get_or_init(|| isomit_telemetry::global().histogram(names::MC_WIDE_BATCH_NS))
@@ -101,7 +104,7 @@ fn splitmix64(mut x: u64) -> u64 {
 const EDGE_STREAM: u64 = 0xA24B_AED4_963E_E407;
 
 /// The RNG key of trial `trial` under `master_seed` — the wide
-/// counterpart of the sequential estimators' per-run stream derivation
+/// counterpart of the scalar estimator's per-run stream derivation
 /// (same `RUN_STREAM` spread, finalized so nearby trials land far apart
 /// in key space).
 #[inline]
@@ -194,36 +197,13 @@ impl WideBatch {
             .collect()
     }
 
-    /// Number of opinion-holding nodes in one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= self.lanes()`.
-    pub fn lane_infected_count(&self, lane: usize) -> usize {
-        assert!(lane < self.lanes(), "lane {lane} out of {}", self.lanes);
-        let bit = 1u64 << lane;
-        self.active.iter().filter(|&&a| a & bit != 0).count()
-    }
-
-    /// Extracts one lane's infected snapshot — the wide counterpart of
-    /// [`InfectedNetwork::from_cascade`], for harnesses that sample many
-    /// observation snapshots per graph traversal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= self.lanes()` or `diffusion` is not the graph
-    /// the batch was simulated on (node-count mismatch).
-    pub fn lane_snapshot(&self, diffusion: &SignedDigraph, lane: usize) -> InfectedNetwork {
-        InfectedNetwork::from_states(diffusion, &self.lane_states(lane))
-    }
-
-    /// Adds this batch's outcomes into per-node tally arrays
-    /// (popcount per plane; the merge underlying the wide estimators).
-    fn tally_into(&self, infected: &mut [u32], positive: &mut [u32]) {
-        for (slot, &mask) in infected.iter_mut().zip(&self.active) {
+    /// Adds this batch's outcomes into `tally` (one popcount per node
+    /// and plane records all lanes at once).
+    fn tally_into(&self, tally: &mut Tally) {
+        for (slot, &mask) in tally.infected.iter_mut().zip(&self.active) {
             *slot += mask.count_ones();
         }
-        for (slot, &mask) in positive.iter_mut().zip(&self.positive) {
+        for (slot, &mask) in tally.positive.iter_mut().zip(&self.positive) {
             *slot += mask.count_ones();
         }
     }
@@ -415,24 +395,6 @@ fn lane_mask(lanes: usize) -> u64 {
     }
 }
 
-/// Runs one wide batch of up to 64 MFC trials over `graph` — the
-/// one-shot form of [`WideSimulator::run`] (build the simulator
-/// yourself to amortize the flattening over many batches).
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] for an empty or
-/// over-wide `lane_keys`, or [`DiffusionError::SeedOutOfBounds`] for
-/// seeds outside the graph.
-pub fn simulate_wide(
-    model: &Mfc,
-    graph: &SignedDigraph,
-    seeds: &SeedSet,
-    lane_keys: &[u64],
-) -> Result<WideBatch, DiffusionError> {
-    WideSimulator::new(model, graph).run(seeds, lane_keys)
-}
-
 /// Scalar reference replay of **one lane**: an independent
 /// implementation (plain state array, no bitplanes, no flattened CSR)
 /// that must reproduce lane `lane_key` of any wide batch bit-exactly.
@@ -513,18 +475,6 @@ pub fn simulate_wide_reference(
     Ok((state, truncated))
 }
 
-/// Shared argument check of the wide estimators.
-fn check_wide_runs(runs: usize) -> Result<(), DiffusionError> {
-    if runs == 0 {
-        return Err(DiffusionError::InvalidParameter {
-            name: "runs",
-            value: 0.0,
-            constraint: "must be positive",
-        });
-    }
-    Ok(())
-}
-
 /// The lane keys of one batch: trials `first..first + count` of
 /// `master_seed`.
 fn batch_keys(master_seed: u64, first: usize, count: usize) -> Vec<u64> {
@@ -534,44 +484,14 @@ fn batch_keys(master_seed: u64, first: usize, count: usize) -> Vec<u64> {
 }
 
 /// Wide Monte-Carlo estimator: tallies `runs` MFC trials in batches of
-/// up to 64 lanes per graph traversal. Deterministic in
+/// up to 64 lanes per graph traversal, distributing whole batches
+/// across the current rayon worker count. Deterministic in
 /// `(graph, seeds, runs, master_seed)` and **bit-identical** to
-/// [`estimate_infection_probabilities_wide_reference`]; the throughput
-/// replacement for
-/// [`estimate_infection_probabilities_seeded`](crate::estimate_infection_probabilities_seeded)
+/// [`estimate_infection_probabilities_wide_reference`] for every thread
+/// count (inside a 1-thread pool the batches run in order on the
+/// calling thread); the throughput replacement for
+/// [`par_estimate_infection_probabilities`](crate::par_estimate_infection_probabilities)
 /// on MFC workloads.
-///
-/// # Errors
-///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
-pub fn estimate_infection_probabilities_wide(
-    model: &Mfc,
-    graph: &SignedDigraph,
-    seeds: &SeedSet,
-    runs: usize,
-    master_seed: u64,
-) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
-    let sim = WideSimulator::new(model, graph);
-    let n = graph.node_count();
-    let mut infected = vec![0u32; n];
-    let mut positive = vec![0u32; n];
-    let mut first = 0usize;
-    while first < runs {
-        let count = MAX_LANES.min(runs - first);
-        let batch = sim.run(seeds, &batch_keys(master_seed, first, count))?;
-        batch.tally_into(&mut infected, &mut positive);
-        first += count;
-    }
-    Ok(InfectionEstimate::from_tallies(runs, infected, positive))
-}
-
-/// Parallel wide estimator: distributes whole batches across the rayon
-/// pool. Per-batch tallies merge by element-wise addition, so the
-/// result is **bit-identical** to
-/// [`estimate_infection_probabilities_wide`] (and therefore to the
-/// scalar reference) for every thread count.
 ///
 /// # Errors
 ///
@@ -584,33 +504,22 @@ pub fn par_estimate_infection_probabilities_wide(
     runs: usize,
     master_seed: u64,
 ) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
+    check_runs(runs)?;
     let sim = WideSimulator::new(model, graph);
     let n = graph.node_count();
-    let batches = runs.div_ceil(MAX_LANES);
-    let (infected, positive) = (0..batches).into_par_iter().fold_reduce(
-        || Ok((vec![0u32; n], vec![0u32; n])),
-        |acc: Result<(Vec<u32>, Vec<u32>), DiffusionError>, b| {
-            let (mut infected, mut positive) = acc?;
+    let tally = (0..runs.div_ceil(MAX_LANES)).into_par_iter().fold_reduce(
+        || Ok(Tally::new(n)),
+        |acc: Result<Tally, DiffusionError>, b| {
+            let mut acc = acc?;
             let first = b * MAX_LANES;
             let count = MAX_LANES.min(runs - first);
-            let batch = sim.run(seeds, &batch_keys(master_seed, first, count))?;
-            batch.tally_into(&mut infected, &mut positive);
-            Ok((infected, positive))
+            sim.run(seeds, &batch_keys(master_seed, first, count))?
+                .tally_into(&mut acc);
+            Ok(acc)
         },
-        |a, b| {
-            let (mut ai, mut ap) = a?;
-            let (bi, bp) = b?;
-            for (x, y) in ai.iter_mut().zip(&bi) {
-                *x += y;
-            }
-            for (x, y) in ap.iter_mut().zip(&bp) {
-                *x += y;
-            }
-            Ok((ai, ap))
-        },
+        |a, b| Ok(a?.merge(b?)),
     )?;
-    Ok(InfectionEstimate::from_tallies(runs, infected, positive))
+    Ok(tally.into_estimate(runs))
 }
 
 /// Scalar-oracle estimator: replays every trial through
@@ -629,23 +538,14 @@ pub fn estimate_infection_probabilities_wide_reference(
     runs: usize,
     master_seed: u64,
 ) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
-    let n = graph.node_count();
-    let mut infected = vec![0u32; n];
-    let mut positive = vec![0u32; n];
+    check_runs(runs)?;
+    let mut tally = Tally::new(graph.node_count());
     for trial in 0..runs {
         let (states, _) =
             simulate_wide_reference(model, graph, seeds, wide_lane_key(master_seed, trial))?;
-        for (v, s) in states.iter().enumerate() {
-            if s.is_active() {
-                infected[v] += 1;
-            }
-            if *s == NodeState::Positive {
-                positive[v] += 1;
-            }
-        }
+        tally.record(&states);
     }
-    Ok(InfectionEstimate::from_tallies(runs, infected, positive))
+    Ok(tally.into_estimate(runs))
 }
 
 #[cfg(test)]
@@ -674,7 +574,7 @@ mod tests {
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
         let model = Mfc::new(2.0).unwrap();
         let keys: Vec<u64> = (0..64).map(|t| wide_lane_key(9, t)).collect();
-        let batch = simulate_wide(&model, &g, &seeds, &keys).unwrap();
+        let batch = WideSimulator::new(&model, &g).run(&seeds, &keys).unwrap();
         assert_eq!(batch.lanes(), 64);
         for v in 0..4 {
             assert_eq!(batch.active_mask(NodeId(v)), !0, "node {v}");
@@ -700,7 +600,7 @@ mod tests {
             .unwrap();
         let model = Mfc::new(1.5).unwrap();
         let keys: Vec<u64> = (0..37).map(|t| wide_lane_key(123, t)).collect();
-        let batch = simulate_wide(&model, &g, &seeds, &keys).unwrap();
+        let batch = WideSimulator::new(&model, &g).run(&seeds, &keys).unwrap();
         for (lane, &key) in keys.iter().enumerate() {
             let (states, truncated) = simulate_wide_reference(&model, &g, &seeds, key).unwrap();
             assert_eq!(batch.lane_states(lane), states, "lane {lane}");
@@ -724,9 +624,9 @@ mod tests {
         let seeds = SeedSet::single(NodeId(0), Sign::Negative);
         let model = Mfc::new(3.0).unwrap();
         let keys: Vec<u64> = (0..64).map(|t| wide_lane_key(7, t)).collect();
-        let full = simulate_wide(&model, &g, &seeds, &keys).unwrap();
+        let full = WideSimulator::new(&model, &g).run(&seeds, &keys).unwrap();
         for (lane, &key) in keys.iter().enumerate().take(7) {
-            let single = simulate_wide(&model, &g, &seeds, &[key]).unwrap();
+            let single = WideSimulator::new(&model, &g).run(&seeds, &[key]).unwrap();
             assert_eq!(single.lane_states(0), full.lane_states(lane));
         }
     }
@@ -743,7 +643,8 @@ mod tests {
         let model = Mfc::new(2.0).unwrap();
         // 130 = 2 full batches + a ragged 2-lane tail.
         for runs in [1, 63, 64, 65, 130] {
-            let wide = estimate_infection_probabilities_wide(&model, &g, &seeds, runs, 42).unwrap();
+            let wide =
+                par_estimate_infection_probabilities_wide(&model, &g, &seeds, runs, 42).unwrap();
             let reference =
                 estimate_infection_probabilities_wide_reference(&model, &g, &seeds, runs, 42)
                     .unwrap();
@@ -757,7 +658,7 @@ mod tests {
         let g = g(&[(0, 1, Sign::Positive, 0.3)]);
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
         let model = Mfc::new(3.0).unwrap();
-        let est = estimate_infection_probabilities_wide(&model, &g, &seeds, 20_000, 5).unwrap();
+        let est = par_estimate_infection_probabilities_wide(&model, &g, &seeds, 20_000, 5).unwrap();
         let p = est.infection_probability(NodeId(1));
         assert!((p - 0.9).abs() < 0.02, "estimated {p}");
         assert_eq!(est.runs(), 20_000);
@@ -768,8 +669,8 @@ mod tests {
         let g = g(&[(0, 1, Sign::Positive, 0.5), (1, 2, Sign::Negative, 0.5)]);
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
         let model = Mfc::new(1.0).unwrap();
-        let a = estimate_infection_probabilities_wide(&model, &g, &seeds, 300, 1).unwrap();
-        let b = estimate_infection_probabilities_wide(&model, &g, &seeds, 300, 2).unwrap();
+        let a = par_estimate_infection_probabilities_wide(&model, &g, &seeds, 300, 1).unwrap();
+        let b = par_estimate_infection_probabilities_wide(&model, &g, &seeds, 300, 2).unwrap();
         assert_ne!(a, b);
     }
 
@@ -786,13 +687,17 @@ mod tests {
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
         let keys: Vec<u64> = (0..8).map(|t| wide_lane_key(3, t)).collect();
         let capped = Mfc::new(2.0).unwrap().with_max_rounds(2);
-        let batch = simulate_wide(&capped, &g, &seeds, &keys).unwrap();
+        let batch = WideSimulator::new(&capped, &g).run(&seeds, &keys).unwrap();
         assert_eq!(batch.truncated_lanes(), 0xFF);
-        assert_eq!(batch.lane_infected_count(0), 3); // 0, 1, 2 reached; 3 not.
+        // 0, 1, 2 reached in every lane; 3 not.
+        assert_eq!(batch.active_mask(NodeId(2)), 0xFF);
+        assert_eq!(batch.active_mask(NodeId(3)), 0);
         let uncapped = Mfc::new(2.0).unwrap();
-        let batch = simulate_wide(&uncapped, &g, &seeds, &keys).unwrap();
+        let batch = WideSimulator::new(&uncapped, &g)
+            .run(&seeds, &keys)
+            .unwrap();
         assert_eq!(batch.truncated_lanes(), 0);
-        assert_eq!(batch.lane_infected_count(0), 4);
+        assert_eq!(batch.active_mask(NodeId(3)), 0xFF);
     }
 
     #[test]
@@ -800,29 +705,23 @@ mod tests {
         let g = g(&[(0, 1, Sign::Positive, 0.5)]);
         let model = Mfc::new(2.0).unwrap();
         let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        assert!(simulate_wide(&model, &g, &seeds, &[]).is_err());
-        assert!(simulate_wide(&model, &g, &seeds, &vec![1u64; 65]).is_err());
+        assert!(WideSimulator::new(&model, &g).run(&seeds, &[]).is_err());
+        assert!(WideSimulator::new(&model, &g)
+            .run(&seeds, &vec![1u64; 65])
+            .is_err());
         let oob = SeedSet::single(NodeId(9), Sign::Positive);
-        assert!(simulate_wide(&model, &g, &oob, &[1]).is_err());
-        assert!(estimate_infection_probabilities_wide(&model, &g, &seeds, 0, 1).is_err());
+        assert!(WideSimulator::new(&model, &g).run(&oob, &[1]).is_err());
+        assert!(par_estimate_infection_probabilities_wide(&model, &g, &seeds, 0, 1).is_err());
     }
 
     #[test]
     fn empty_seed_set_infects_nothing() {
         let g = g(&[(0, 1, Sign::Positive, 1.0)]);
         let model = Mfc::new(2.0).unwrap();
-        let batch = simulate_wide(&model, &g, &SeedSet::new(), &[1, 2, 3]).unwrap();
-        assert_eq!(batch.lane_infected_count(0), 0);
+        let batch = WideSimulator::new(&model, &g)
+            .run(&SeedSet::new(), &[1, 2, 3])
+            .unwrap();
+        assert!((0..2).all(|v| batch.active_mask(NodeId(v)) == 0));
         assert_eq!(batch.truncated_lanes(), 0);
-    }
-
-    #[test]
-    fn lane_snapshot_matches_from_states() {
-        let g = g(&[(0, 1, Sign::Positive, 1.0), (1, 2, Sign::Negative, 1.0)]);
-        let seeds = SeedSet::single(NodeId(0), Sign::Positive);
-        let model = Mfc::new(2.0).unwrap();
-        let batch = simulate_wide(&model, &g, &seeds, &[77]).unwrap();
-        let snapshot = batch.lane_snapshot(&g, 0);
-        assert_eq!(snapshot.node_count(), batch.lane_infected_count(0));
     }
 }

@@ -2,9 +2,9 @@
 //! that must hold for every random graph, seed set and RNG stream.
 
 use isomit_diffusion::{
-    estimate_infection_probabilities_wide, estimate_infection_probabilities_wide_reference,
-    par_estimate_infection_probabilities_wide, Cascade, DiffusionModel, IndependentCascade,
-    InfectedNetwork, LinearThreshold, Mfc, PolarityIc, SeedSet, Sir,
+    estimate_infection_probabilities_wide_reference, par_estimate_infection_probabilities_wide,
+    Cascade, DiffusionModel, IndependentCascade, InfectedNetwork, LinearThreshold, Mfc, PolarityIc,
+    SeedSet, Sir,
 };
 use isomit_graph::{Edge, NodeId, NodeState, Sign, SignedDigraph};
 use proptest::prelude::*;
@@ -178,7 +178,9 @@ proptest! {
     // The 64-lane bitplane engine is bit-identical to its retained
     // scalar reference for every graph, seed set, `alpha`, master seed,
     // and trial count — including ragged counts not divisible by 64,
-    // which exercise the partial final batch.
+    // which exercise the partial final batch. Its rayon batch
+    // distribution merges commutatively, so this holds at any thread
+    // count.
     #[test]
     fn wide_estimator_is_bit_identical_to_scalar_reference(
         ((g, seeds), alpha, runs, master) in
@@ -187,16 +189,11 @@ proptest! {
         // Cap rounds: boosted weights can reach probability 1, where
         // flip waves may oscillate around positive cycles indefinitely.
         let model = Mfc::new(alpha).unwrap().with_max_rounds(1_000);
-        let wide = estimate_infection_probabilities_wide(
+        let wide = par_estimate_infection_probabilities_wide(
             &model, &g, &seeds, runs, master).unwrap();
         let reference = estimate_infection_probabilities_wide_reference(
             &model, &g, &seeds, runs, master).unwrap();
         prop_assert_eq!(&wide, &reference);
-        // The rayon batch distribution merges commutatively, so the
-        // parallel path is bit-identical too.
-        let par = par_estimate_infection_probabilities_wide(
-            &model, &g, &seeds, runs, master).unwrap();
-        prop_assert_eq!(&wide, &par);
     }
 }
 

@@ -1,5 +1,4 @@
 // lint:allow-file(indexing) binarization gadget arrays (children, original, parent) grow together, so every stored id is a valid index into its sibling arrays
-use serde::{Deserialize, Serialize};
 
 /// A binary tree produced by [`binarize`], the paper's Figure 3
 /// transformation.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// * the real nodes' ancestor relation equals the original tree's: the
 ///   nearest real ancestor of a real node is its original parent;
 /// * dummies have at least one descendant real node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryTree {
     /// `original[i]` is `Some(orig)` for real nodes, `None` for dummies.
     original: Vec<Option<usize>>,

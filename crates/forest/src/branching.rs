@@ -1,13 +1,12 @@
 // lint:allow-file(indexing) Chu-Liu/Edmonds indexes per-node scratch arrays (state, best_in, cycle_of) allocated with the contracted graph's node count; Branching::validate() checks the parent structure
 use isomit_graph::GraphError;
-use serde::{Deserialize, Serialize};
 
 /// A directed weighted arc, input to [`maximum_branching`].
 ///
 /// Indices are plain `usize` (not [`isomit_graph::NodeId`]) because the
 /// branching is computed on pruned per-component edge sets whose node
 /// numbering is local to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedArc {
     /// Source node, `< n`.
     pub src: usize,
@@ -19,7 +18,7 @@ pub struct WeightedArc {
 
 /// The result of [`maximum_branching`]: a spanning branching (forest of
 /// arborescences) in parent-pointer form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Branching {
     parent: Vec<Option<usize>>,
     parent_arc: Vec<Option<usize>>,
@@ -106,7 +105,7 @@ impl Branching {
     ///
     /// [`maximum_branching`] upholds these by construction and re-asserts
     /// them in debug builds; call this on branchings arriving through
-    /// other channels (e.g. serde deserialization), not per-query.
+    /// other channels, not per-query.
     ///
     /// # Errors
     ///

@@ -1,5 +1,4 @@
 use crate::{NodeId, Sign};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An owned signed, weighted, directed edge.
@@ -7,7 +6,7 @@ use std::fmt;
 /// `Edge` is the exchange format between builders, iterators and I/O; the
 /// graph itself stores edges in compressed-sparse-row arrays and hands out
 /// [`EdgeRef`]s when iterating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source node.
     pub src: NodeId,

@@ -1,6 +1,5 @@
 // lint:allow-file(indexing) CSR adjacency access: offsets are validated monotone and in-bounds by `validate()`, and node indices come from `NodeId`s bounded by `node_count`
 use crate::{Edge, EdgeRef, GraphError, NodeId, Sign, SignedDigraphBuilder};
-use serde::{Deserialize, Serialize};
 
 /// An immutable weighted signed directed graph in compressed-sparse-row
 /// form.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Construct one through [`SignedDigraphBuilder`] or
 /// [`SignedDigraph::from_edges`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignedDigraph {
     node_count: usize,
     // Out-adjacency CSR: edges leaving node u live at
@@ -369,8 +368,8 @@ impl SignedDigraph {
     /// The checked constructors ([`SignedDigraphBuilder`],
     /// [`SignedDigraph::from_edges`], the SNAP/JSON loaders) uphold these
     /// by construction and re-assert them in debug builds; call this at
-    /// ingest time on graphs arriving through other channels (e.g. serde
-    /// deserialization of untrusted data), not per-query.
+    /// ingest time on graphs arriving through other channels, not
+    /// per-query.
     ///
     /// # Errors
     ///

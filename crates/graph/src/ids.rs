@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in a [`SignedDigraph`](crate::SignedDigraph).
@@ -14,10 +13,7 @@ use std::fmt;
 /// assert_eq!(u.index(), 7);
 /// assert_eq!(NodeId::from(7u32), u);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

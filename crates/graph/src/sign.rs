@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Mul, Neg};
 
@@ -13,7 +12,7 @@ use std::ops::{Mul, Neg};
 /// assert_eq!(Sign::Negative * Sign::Negative, Sign::Positive);
 /// assert_eq!(-Sign::Positive, Sign::Negative);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// A trust (`+1`) relationship.
     Positive,
@@ -106,7 +105,7 @@ impl fmt::Display for Sign {
 /// `Unknown` is distinct from `Inactive`: an unknown node may well be
 /// infected, the snapshot just does not record it. Detection algorithms
 /// treat `Unknown` as a wildcard that may assume any state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NodeState {
     /// Believes the rumor to be true (`+1`).
     Positive,

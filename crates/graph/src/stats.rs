@@ -1,9 +1,8 @@
 use crate::SignedDigraph;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary of a degree distribution (over in- or out-degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Smallest degree.
     pub min: usize,
@@ -44,7 +43,7 @@ impl DegreeStats {
 /// Basic statistics of a signed digraph, in the spirit of the paper's
 /// Table II (nodes, links, link type) extended with sign and degree
 /// information.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.
     pub nodes: usize,

@@ -1,5 +1,4 @@
 use crate::{Edge, GraphError, NodeId, SignedDigraph};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Bidirectional mapping between node ids of an original graph and the
@@ -10,7 +9,7 @@ use std::collections::BTreeSet;
 /// network. The inverse direction is a sorted table probed by binary
 /// search, so lookups are `O(log n)` and iteration order is
 /// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMapping {
     /// `sub_to_orig[i]` is the original id of subgraph node `i`.
     sub_to_orig: Vec<NodeId>,

@@ -26,11 +26,10 @@
 #![deny(missing_debug_implementations)]
 
 use isomit_graph::{NodeId, SignedDigraph};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Precision / recall / F1 triple for initiator-identity evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prf {
     /// Fraction of detected initiators that are real.
     pub precision: f64,
@@ -92,7 +91,7 @@ pub fn evaluate_identities(detected: &[NodeId], truth: &[NodeId]) -> Prf {
 
 /// Accuracy / MAE / R² triple for initial-state inference, following the
 /// paper's Figure 6 metrics. States are encoded as `±1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateMetrics {
     /// Fraction of exactly matching states.
     pub accuracy: f64,

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, model) in [
         (
             "MFC(a=3)",
-            Box::new(Mfc::new(3.0)?) as Box<dyn DiffusionModel>,
+            Box::new(Mfc::new(3.0)?) as Box<dyn DiffusionModel + Sync>,
         ),
         ("IC", Box::new(IndependentCascade::new())),
     ] {
@@ -44,14 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Compare against random seeding with the same budget.
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let random_seeds = SeedSet::sample(&diffusion, k, 1.0, &mut rng);
-        let mut total = 0usize;
-        for r in 0..runs as u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + r);
-            total += model
-                .simulate(&diffusion, &random_seeds, &mut rng)?
-                .infected_count();
-        }
-        let random_spread = total as f64 / runs as f64;
+        let random_spread = par_estimate_infection_probabilities(
+            model.as_ref(),
+            &diffusion,
+            &random_seeds,
+            runs,
+            1000,
+        )?
+        .expected_infected();
         println!(
             "  random {k}-seed baseline: {random_spread:.1} (greedy advantage {:.1}x)",
             result.expected_spread() / random_spread.max(1.0)

@@ -59,9 +59,7 @@ pub mod prelude {
         slashdot_like_scaled, Scenario, ScenarioConfig,
     };
     pub use isomit_diffusion::{
-        estimate_infection_probabilities, estimate_infection_probabilities_seeded,
-        estimate_infection_probabilities_wide, par_estimate_infection_probabilities,
-        par_estimate_infection_probabilities_wide, simulate_wide, simulate_wide_reference, Cascade,
+        par_estimate_infection_probabilities, par_estimate_infection_probabilities_wide, Cascade,
         CascadeTimeline, DiffusionModel, IndependentCascade, InfectedNetwork, InfectionEstimate,
         LinearThreshold, Mfc, PolarityIc, SeedSet, Sir, WideBatch, WideSimulator,
     };

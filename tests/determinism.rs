@@ -1,13 +1,11 @@
 //! Regression tests for the deterministic parallel execution layer:
 //! given the same master seed, every parallel path must produce output
-//! bit-identical to its sequential reference, for every thread count.
+//! bit-identical to a 1-thread run of itself, for every thread count.
 
 use isomit::prelude::*;
 use isomit_bench::{build_trials, ExpOptions, Network};
 use isomit_core::extract_cascade_forest;
-use isomit_diffusion::{
-    estimate_infection_probabilities_seeded, par_estimate_infection_probabilities,
-};
+use isomit_diffusion::maximize_influence;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
@@ -33,9 +31,10 @@ fn parallel_monte_carlo_is_bit_identical_to_sequential() {
     let (diffusion, seeds) = small_scenario(11);
     let model = Mfc::new(3.0).unwrap();
     let master = 0xD15EA5E;
-    let sequential =
-        estimate_infection_probabilities_seeded(&model, &diffusion, &seeds, 500, master).unwrap();
-    for threads in [1, 2, 4, 7] {
+    let sequential = with_threads(1, || {
+        par_estimate_infection_probabilities(&model, &diffusion, &seeds, 500, master).unwrap()
+    });
+    for threads in [2, 4, 7] {
         let parallel = with_threads(threads, || {
             par_estimate_infection_probabilities(&model, &diffusion, &seeds, 500, master).unwrap()
         });
@@ -120,15 +119,27 @@ fn trial_building_is_thread_count_invariant() {
 }
 
 #[test]
-fn legacy_sequential_entry_point_unchanged() {
-    // The original &mut RngCore API must keep working alongside the
-    // seeded variants.
-    let (diffusion, seeds) = small_scenario(41);
+fn influence_maximization_is_thread_count_invariant() {
+    // Every spread estimate draws its master seed from the caller's RNG
+    // and runs through the parallel estimator, so the greedy selection
+    // and its float trajectory cannot depend on the worker count.
+    let mut rng = StdRng::seed_from_u64(41);
+    let social = epinions_like_scaled(0.002, &mut rng);
+    let diffusion = isomit_datasets::paper_weights(&social, &mut rng);
     let model = Mfc::new(3.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = estimate_infection_probabilities(&model, &diffusion, &seeds, 50, &mut rng).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let b = estimate_infection_probabilities(&model, &diffusion, &seeds, 50, &mut rng).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(a.runs(), 50);
+    let select = |threads| {
+        let result = with_threads(threads, || {
+            maximize_influence(&model, &diffusion, 3, 16, &mut StdRng::seed_from_u64(7)).unwrap()
+        });
+        let bits: Vec<u64> = result
+            .spread_trajectory
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        (result.seeds, bits)
+    };
+    let baseline = select(1);
+    for threads in [2, 4] {
+        assert_eq!(select(threads), baseline, "threads={threads}");
+    }
 }

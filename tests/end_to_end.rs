@@ -132,7 +132,7 @@ fn detected_ids_live_in_the_original_network() {
 }
 
 #[test]
-fn snapshot_round_trips_through_serde() {
+fn snapshot_round_trips_through_json() {
     let sc = scenario(8, 0.005, 5);
     let json = sc.snapshot.to_json_string();
     let back = InfectedNetwork::from_json_str(&json).expect("deserialize");
