@@ -27,12 +27,11 @@
 
 use crate::codec::RidResult;
 use crate::detection::{DetectedInitiator, Detection};
-use crate::dp::{DpOutcome, TreeDp};
 use crate::error::RidError;
 use crate::forest_extraction::{
     external_support, extract_cascade_forest, usable_arcs, CascadeTree,
 };
-use crate::rid::{Rid, RidConfig, RidObjective};
+use crate::rid::{Rid, RidConfig};
 use crate::stages::ForestArtifacts;
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::{UnionFind, WeightedArc};
@@ -645,8 +644,8 @@ impl IncrementalRid {
         screened
     }
 
-    /// Runs the query-stage DP on one tree, mirroring
-    /// [`Rid::query_stage`] exactly, and translates the outcome to
+    /// Runs the query-stage DP on one tree ([`Rid::solve_tree`], as
+    /// [`Rid::query_stage`] does) and translates the outcome to
     /// original ids.
     fn solve_tree(
         &self,
@@ -654,17 +653,7 @@ impl IncrementalRid {
         tree: &CascadeTree,
         support: &[f64],
     ) -> SolvedTree {
-        let outcome: DpOutcome = match self.rid.objective() {
-            RidObjective::ProbabilitySum => TreeDp::solve_probability_sum_with_support(
-                tree,
-                self.rid.alpha(),
-                self.rid.beta(),
-                self.rid.external_support_enabled().then_some(support),
-            ),
-            RidObjective::LogLikelihood => {
-                TreeDp::solve_penalized(tree, self.rid.alpha(), self.rid.beta())
-            }
-        };
+        let outcome = self.rid.solve_tree(tree, support);
         let to_original = |sub_id: NodeId| {
             snapshot
                 .mapping()
@@ -870,6 +859,7 @@ mod tests {
     use super::*;
     use crate::detection::InitiatorDetector;
     use crate::forest_extraction::extraction_run_count;
+    use crate::rid::RidObjective;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

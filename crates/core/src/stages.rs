@@ -17,7 +17,7 @@
 //! artifacts are reused.
 
 use crate::detection::{DetectedInitiator, Detection};
-use crate::dp::TreeDp;
+use crate::dp::{DpOutcome, TreeDp};
 use crate::error::RidError;
 use crate::forest_extraction::{external_support, extract_cascade_forest, CascadeTree};
 use crate::rid::{Rid, RidObjective};
@@ -146,18 +146,7 @@ impl Rid {
             .trees
             .par_iter()
             .zip(artifacts.supports.par_iter())
-            .map(|(tree, support)| match self.objective() {
-                RidObjective::ProbabilitySum => TreeDp::solve_probability_sum_with_support(
-                    tree,
-                    self.alpha(),
-                    self.beta(),
-                    self.external_support_enabled()
-                        .then_some(support.as_slice()),
-                ),
-                RidObjective::LogLikelihood => {
-                    TreeDp::solve_penalized(tree, self.alpha(), self.beta())
-                }
-            })
+            .map(|(tree, support)| self.solve_tree(tree, support))
             .collect();
         let mut initiators = Vec::new();
         let mut objective = 0.0;
@@ -182,6 +171,22 @@ impl Rid {
         };
         detection.sort();
         Ok(detection)
+    }
+
+    /// The query-stage DP on one cascade tree under this detector's
+    /// objective, `beta` and support toggle; `support` is the tree's
+    /// external-support table. Shared by [`query_stage`](Rid::query_stage)
+    /// and the incremental session, so both solve a tree identically.
+    pub(crate) fn solve_tree(&self, tree: &CascadeTree, support: &[f64]) -> DpOutcome {
+        match self.objective() {
+            RidObjective::ProbabilitySum => TreeDp::solve_probability_sum_with_support(
+                tree,
+                self.alpha(),
+                self.beta(),
+                self.external_support_enabled().then_some(support),
+            ),
+            RidObjective::LogLikelihood => TreeDp::solve_penalized(tree, self.alpha(), self.beta()),
+        }
     }
 }
 

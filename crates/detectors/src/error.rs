@@ -1,14 +1,10 @@
-//! Error type shared by every detector.
+//! Error type of detector selection by label.
 
 use crate::kind::DetectorKind;
-use isomit_core::RidError;
 
-/// Failure modes of detector construction through [`crate::build`] or
-/// [`DetectorKind::from_label`].
+/// Failure of [`DetectorKind::from_label`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorError {
-    /// A RID-family estimator rejected its configuration.
-    Rid(RidError),
     /// A detector was requested by a label no [`DetectorKind`] carries.
     UnknownDetector {
         /// The label that failed to resolve.
@@ -19,7 +15,6 @@ pub enum DetectorError {
 impl std::fmt::Display for DetectorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DetectorError::Rid(e) => write!(f, "{e}"),
             DetectorError::UnknownDetector { name } => write!(
                 f,
                 "unknown detector `{name}` (known: {})",
@@ -29,20 +24,7 @@ impl std::fmt::Display for DetectorError {
     }
 }
 
-impl std::error::Error for DetectorError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DetectorError::Rid(e) => Some(e),
-            DetectorError::UnknownDetector { .. } => None,
-        }
-    }
-}
-
-impl From<RidError> for DetectorError {
-    fn from(e: RidError) -> Self {
-        DetectorError::Rid(e)
-    }
-}
+impl std::error::Error for DetectorError {}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 use crate::error::DetectorError;
 use crate::jordan::JordanCenter;
 use crate::rumor::RumorCentralityDetector;
-use isomit_core::{InitiatorDetector, Rid, RidConfig, RidPositive, RidTree};
+use isomit_core::{InitiatorDetector, Rid, RidConfig, RidError, RidPositive, RidTree};
 
 /// Every detector the subsystem can build, by stable wire label.
 ///
@@ -81,7 +81,7 @@ impl DetectorKind {
 ///
 /// # Errors
 ///
-/// Returns [`DetectorError::Rid`] if `config` is invalid for the
+/// Returns [`RidError::InvalidParameter`] if `config` is invalid for the
 /// requested RID-family detector (`alpha` not finite or `< 1`, `beta`
 /// negative).
 ///
@@ -103,7 +103,7 @@ impl DetectorKind {
 pub fn build(
     kind: DetectorKind,
     config: &RidConfig,
-) -> Result<Box<dyn InitiatorDetector>, DetectorError> {
+) -> Result<Box<dyn InitiatorDetector>, RidError> {
     Ok(match kind {
         DetectorKind::Rid => Box::new(Rid::from_config(*config)?),
         DetectorKind::RidTree => Box::new(RidTree::new(config.alpha)?),
@@ -157,7 +157,10 @@ mod tests {
             ..RidConfig::default()
         };
         for kind in [DetectorKind::Rid, DetectorKind::RidTree] {
-            assert!(matches!(build(kind, &bad), Err(DetectorError::Rid(_))));
+            assert!(matches!(
+                build(kind, &bad),
+                Err(RidError::InvalidParameter { .. })
+            ));
         }
     }
 }

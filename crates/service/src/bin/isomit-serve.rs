@@ -3,8 +3,7 @@
 //! ```text
 //! isomit-serve [--addr HOST:PORT] [--shards N] [--queue N]
 //!              [--timeout-ms MS] [--cache N] [--result-cache N]
-//!              [--io-threads N] [--max-watch N]
-//!              [--alpha A] [--beta B]
+//!              [--max-watch N] [--alpha A] [--beta B]
 //!              (--graph FILE | --generate epinions|slashdot)
 //!              [--scale S] [--seed N]
 //! ```
@@ -25,7 +24,6 @@ use std::time::Duration;
 struct Options {
     addr: String,
     shards: usize,
-    io_threads: usize,
     result_cache: usize,
     queue: usize,
     timeout_ms: u64,
@@ -44,7 +42,6 @@ impl Options {
         let mut opts = Options {
             addr: "127.0.0.1:7878".to_owned(),
             shards: 4,
-            io_threads: 1,
             result_cache: 512,
             queue: 64,
             timeout_ms: 30_000,
@@ -66,9 +63,6 @@ impl Options {
             match flag.as_str() {
                 "--addr" => opts.addr = value("--addr"),
                 "--shards" => opts.shards = value("--shards").parse().expect("--shards: usize"),
-                "--io-threads" => {
-                    opts.io_threads = value("--io-threads").parse().expect("--io-threads: usize")
-                }
                 "--result-cache" => {
                     opts.result_cache = value("--result-cache")
                         .parse()
@@ -91,8 +85,8 @@ impl Options {
                 "--help" | "-h" => {
                     println!(
                         "usage: isomit-serve [--addr HOST:PORT] [--shards N] [--queue N] \
-                         [--timeout-ms MS] [--cache N] [--result-cache N] [--io-threads N] \
-                         [--max-watch N] [--alpha A] [--beta B] \
+                         [--timeout-ms MS] [--cache N] [--result-cache N] [--max-watch N] \
+                         [--alpha A] [--beta B] \
                          (--graph FILE | --generate epinions|slashdot) [--scale S] [--seed N]"
                     );
                     std::process::exit(0);
@@ -144,7 +138,6 @@ fn main() {
             queue_capacity: opts.queue,
             request_timeout: Duration::from_millis(opts.timeout_ms),
             max_watch_sessions: opts.max_watch,
-            io_threads: opts.io_threads,
             result_cache_capacity: opts.result_cache,
         },
     )

@@ -5,35 +5,24 @@
 //! holds the diffusion network (for Monte-Carlo `simulate` queries) and
 //! a bounded LRU of [`ForestArtifacts`] keyed by
 //! `(snapshot fingerprint, alpha bits)`, so repeated snapshots skip
-//! straight to the per-tree DP. Caching is invisible in results:
-//! extraction is a pure function of `(snapshot, alpha)`, so a cached
-//! answer is bit-identical to a cold one (tested below).
+//! straight to the per-tree DP. The fingerprint is the caller's: the
+//! server passes the hash it routed the request on, so each request is
+//! hashed once. Caching is invisible in results: extraction is a pure
+//! function of `(snapshot, alpha)`, so a cached answer is bit-identical
+//! to a cold one (tested below).
 
 use crate::cache::{CacheMetrics, LruCache};
 use crate::fingerprint::snapshot_fingerprint;
 use isomit_core::{ForestArtifacts, Rid, RidConfig, RidError, RidResult};
-use isomit_detectors::{DetectorError, DetectorKind};
+use isomit_detectors::DetectorKind;
 use isomit_diffusion::{
     par_estimate_infection_probabilities_wide, DiffusionError, InfectedNetwork, InfectionEstimate,
     Mfc, SeedSet,
 };
 use isomit_graph::json::{JsonError, Value};
 use isomit_graph::SignedDigraph;
-use isomit_telemetry::{names, Counter, Registry, RegistrySnapshot};
+use isomit_telemetry::{names, Counter, Registry};
 use std::sync::{Arc, Mutex};
-
-/// Maps a detector failure back to the engine's [`RidError`] surface.
-/// Unknown-detector errors cannot reach the engine: the protocol layer
-/// validates labels before work is enqueued, and typed callers pass a
-/// [`DetectorKind`] that always builds.
-fn detector_error_to_rid(e: DetectorError) -> RidError {
-    match e {
-        DetectorError::Rid(e) => e,
-        DetectorError::UnknownDetector { name } => {
-            unreachable!("detector label `{name}` was validated at the protocol layer")
-        }
-    }
-}
 
 /// Point-in-time engine counters, reported by the `stats` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +136,7 @@ impl RidEngine {
     /// probabilities) with `default_config` as the detector used when a
     /// request carries no config, caching artifacts for up to
     /// `cache_capacity` distinct `(snapshot, alpha)` pairs. Metrics go
-    /// into a fresh per-engine registry; use
-    /// [`with_registry`](RidEngine::with_registry) to supply one.
+    /// into a fresh per-engine registry.
     ///
     /// # Errors
     ///
@@ -159,44 +147,15 @@ impl RidEngine {
         default_config: RidConfig,
         cache_capacity: usize,
     ) -> Result<Self, RidError> {
-        RidEngine::with_registry(
-            graph,
-            default_config,
-            cache_capacity,
-            Arc::new(Registry::new()),
-        )
-    }
-
-    /// Like [`new`](RidEngine::new), but recording request and cache
-    /// metrics into the given registry (under the `service.*` names).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RidError::InvalidParameter`] if `default_config` fails
-    /// [`Rid::from_config`] validation.
-    pub fn with_registry(
-        graph: SignedDigraph,
-        default_config: RidConfig,
-        cache_capacity: usize,
-        registry: Arc<Registry>,
-    ) -> Result<Self, RidError> {
         Rid::from_config(default_config)?;
         let model = default_config.model()?;
-        let cache = LruCache::with_metrics(cache_capacity, CacheMetrics::registered(&registry));
-        let rid_requests = registry.counter(names::SERVICE_RID_REQUESTS);
-        let simulate_requests = registry.counter(names::SERVICE_SIMULATE_REQUESTS);
-        let cache_superseded = registry.counter(names::SERVICE_CACHE_SUPERSEDED);
-        Ok(RidEngine {
-            graph: Arc::new(graph),
+        Ok(RidEngine::assemble(
+            Arc::new(graph),
             model,
             default_config,
             cache_capacity,
-            cache: Mutex::new(cache),
-            registry,
-            rid_requests,
-            simulate_requests,
-            cache_superseded,
-        })
+            Arc::new(Registry::new()),
+        ))
     }
 
     /// A sibling engine for one shard of the sharded server: shares the
@@ -205,21 +164,37 @@ impl RidEngine {
     /// never contend on each other's cache lock, and per-shard counters
     /// stay attributable.
     pub fn shard_clone(&self, registry: Arc<Registry>) -> RidEngine {
-        let cache =
-            LruCache::with_metrics(self.cache_capacity, CacheMetrics::registered(&registry));
-        let rid_requests = registry.counter(names::SERVICE_RID_REQUESTS);
-        let simulate_requests = registry.counter(names::SERVICE_SIMULATE_REQUESTS);
-        let cache_superseded = registry.counter(names::SERVICE_CACHE_SUPERSEDED);
-        RidEngine {
-            graph: Arc::clone(&self.graph),
-            model: self.model,
-            default_config: self.default_config,
-            cache_capacity: self.cache_capacity,
-            cache: Mutex::new(cache),
+        RidEngine::assemble(
+            Arc::clone(&self.graph),
+            self.model,
+            self.default_config,
+            self.cache_capacity,
             registry,
-            rid_requests,
-            simulate_requests,
-            cache_superseded,
+        )
+    }
+
+    /// An engine with an empty artifact cache whose request and cache
+    /// metrics record into `registry` (under the `service.*` names).
+    fn assemble(
+        graph: Arc<SignedDigraph>,
+        model: Mfc,
+        default_config: RidConfig,
+        cache_capacity: usize,
+        registry: Arc<Registry>,
+    ) -> RidEngine {
+        RidEngine {
+            graph,
+            model,
+            default_config,
+            cache_capacity,
+            cache: Mutex::new(LruCache::with_metrics(
+                cache_capacity,
+                CacheMetrics::registered(&registry),
+            )),
+            rid_requests: registry.counter(names::SERVICE_RID_REQUESTS),
+            simulate_requests: registry.counter(names::SERVICE_SIMULATE_REQUESTS),
+            cache_superseded: registry.counter(names::SERVICE_CACHE_SUPERSEDED),
+            registry,
         }
     }
 
@@ -235,15 +210,6 @@ impl RidEngine {
         &self.registry
     }
 
-    /// The engine registry's snapshot merged with the process-global
-    /// registry (RID stage and Monte-Carlo timings) — the payload behind
-    /// the `stats` verb's `telemetry` field.
-    pub fn telemetry_snapshot(&self) -> RegistrySnapshot {
-        isomit_telemetry::global()
-            .snapshot()
-            .merge(&self.registry.snapshot())
-    }
-
     /// The detector config used when a request carries none.
     pub fn default_config(&self) -> RidConfig {
         self.default_config
@@ -254,10 +220,17 @@ impl RidEngine {
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Answers a `rid` query: detects initiators in `snapshot` under
-    /// `config` (or the engine default), reusing cached forest
-    /// artifacts when an identical snapshot was seen under the same
-    /// `alpha`.
+    /// Answers a `rid` query: detects initiators in `snapshot` with
+    /// `detector` (default: the full RID framework) under `config` (or
+    /// the engine default).
+    ///
+    /// `fingerprint` keys the artifact cache and must identify the
+    /// snapshot's content: the server passes the hash it routed the
+    /// request on, and library callers pass
+    /// [`snapshot_fingerprint`]`(snapshot)`. The RID framework reuses
+    /// cached forest artifacts when the same fingerprint was seen under
+    /// the same `alpha`; other detectors run directly, as they have no
+    /// reusable extraction stage worth caching.
     ///
     /// Two threads racing on the same cold snapshot may both extract;
     /// extraction is pure, so whichever insert lands last caches the
@@ -269,12 +242,19 @@ impl RidEngine {
     pub fn rid(
         &self,
         snapshot: &InfectedNetwork,
+        fingerprint: u64,
         config: Option<RidConfig>,
+        detector: Option<DetectorKind>,
     ) -> Result<RidResult, RidError> {
         self.rid_requests.inc();
         let config = config.unwrap_or(self.default_config);
+        let kind = detector.unwrap_or(DetectorKind::Rid);
+        if kind != DetectorKind::Rid {
+            let detection = isomit_detectors::build(kind, &config)?.detect(snapshot);
+            return Ok(RidResult { config, detection });
+        }
         let rid = Rid::from_config(config)?;
-        let key = (snapshot_fingerprint(snapshot), config.alpha.to_bits());
+        let key = (fingerprint, config.alpha.to_bits());
         let cached = self.cache_lock().get(&key);
         let artifacts = match cached {
             Some(artifacts) => artifacts,
@@ -288,37 +268,6 @@ impl RidEngine {
         };
         let detection = rid.query_stage(snapshot, &artifacts)?;
         Ok(RidResult { config, detection })
-    }
-
-    /// Answers a `rid` query through the [`isomit_detectors::build`]
-    /// registry: dispatches on `detector`, defaulting to the full RID
-    /// framework.
-    ///
-    /// `DetectorKind::Rid` takes the exact cached-artifact path of
-    /// [`rid`](RidEngine::rid) — bit-identical results, same cache
-    /// hits. Other detectors run directly; they have no reusable
-    /// extraction stage worth caching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RidError::InvalidParameter`] for an invalid `config`.
-    pub fn rid_with_detector(
-        &self,
-        snapshot: &InfectedNetwork,
-        config: Option<RidConfig>,
-        detector: Option<DetectorKind>,
-    ) -> Result<RidResult, RidError> {
-        let kind = detector.unwrap_or(DetectorKind::Rid);
-        if kind == DetectorKind::Rid {
-            return self.rid(snapshot, config);
-        }
-        self.rid_requests.inc();
-        let config = config.unwrap_or(self.default_config);
-        let built = isomit_detectors::build(kind, &config).map_err(detector_error_to_rid)?;
-        Ok(RidResult {
-            config,
-            detection: built.detect(snapshot),
-        })
     }
 
     /// Answers a `simulate` query: seeded parallel Monte-Carlo
@@ -398,6 +347,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `rid` keyed by the canonical fingerprint, as library callers key it.
+    fn rid(
+        engine: &RidEngine,
+        snapshot: &InfectedNetwork,
+        config: Option<RidConfig>,
+    ) -> Result<RidResult, RidError> {
+        engine.rid(snapshot, snapshot_fingerprint(snapshot), config, None)
+    }
+
     fn engine(cache: usize) -> RidEngine {
         let mut rng = StdRng::seed_from_u64(5);
         let social = isomit_datasets::epinions_like_scaled(0.02, &mut rng);
@@ -420,25 +378,25 @@ mod tests {
     fn detector_dispatch_default_and_rid_take_the_cached_path() {
         let engine = engine(8);
         let snapshot = scenario_snapshot(1);
-        let legacy = engine.rid(&snapshot, None).unwrap();
-        let defaulted = engine.rid_with_detector(&snapshot, None, None).unwrap();
+        let fingerprint = snapshot_fingerprint(&snapshot);
+        let defaulted = engine.rid(&snapshot, fingerprint, None, None).unwrap();
         let explicit = engine
-            .rid_with_detector(&snapshot, None, Some(DetectorKind::Rid))
+            .rid(&snapshot, fingerprint, None, Some(DetectorKind::Rid))
             .unwrap();
-        assert_eq!(legacy, defaulted);
-        assert_eq!(legacy, explicit);
-        // All three went through the artifact cache.
+        assert_eq!(defaulted, explicit);
+        // Both went through the artifact cache.
         assert_eq!(engine.stats().cache_misses, 1);
-        assert_eq!(engine.stats().cache_hits, 2);
+        assert_eq!(engine.stats().cache_hits, 1);
     }
 
     #[test]
     fn detector_dispatch_runs_every_kind() {
         let engine = engine(8);
         let snapshot = scenario_snapshot(2);
+        let fingerprint = snapshot_fingerprint(&snapshot);
         for kind in DetectorKind::ALL {
             let result = engine
-                .rid_with_detector(&snapshot, None, Some(kind))
+                .rid(&snapshot, fingerprint, None, Some(kind))
                 .unwrap();
             assert_eq!(result.config, engine.default_config());
             assert!(result.detection.component_count >= 1, "{kind:?}");
@@ -452,8 +410,8 @@ mod tests {
     fn cached_answer_is_bit_identical_to_cold() {
         let engine = engine(8);
         let snapshot = scenario_snapshot(1);
-        let cold = engine.rid(&snapshot, None).unwrap();
-        let warm = engine.rid(&snapshot, None).unwrap();
+        let cold = rid(&engine, &snapshot, None).unwrap();
+        let warm = rid(&engine, &snapshot, None).unwrap();
         assert_eq!(cold, warm);
         assert_eq!(
             cold.detection.objective.to_bits(),
@@ -467,7 +425,7 @@ mod tests {
 
         // And identical to a fresh engine that never cached anything.
         let cold_engine = engine_no_cache();
-        let reference = cold_engine.rid(&snapshot, None).unwrap();
+        let reference = rid(&cold_engine, &snapshot, None).unwrap();
         assert_eq!(reference, warm);
     }
 
@@ -482,12 +440,12 @@ mod tests {
     fn beta_override_reuses_cached_artifacts() {
         let engine = engine(8);
         let snapshot = scenario_snapshot(2);
-        engine.rid(&snapshot, None).unwrap();
+        rid(&engine, &snapshot, None).unwrap();
         let loose_config = RidConfig {
             beta: 0.0,
             ..RidConfig::default()
         };
-        engine.rid(&snapshot, Some(loose_config)).unwrap();
+        rid(&engine, &snapshot, Some(loose_config)).unwrap();
         let stats = engine.stats();
         // Same snapshot + same alpha: the beta override hits the cache.
         assert_eq!(stats.cache_misses, 1);
@@ -498,12 +456,12 @@ mod tests {
     fn alpha_override_is_a_distinct_cache_key() {
         let engine = engine(8);
         let snapshot = scenario_snapshot(3);
-        engine.rid(&snapshot, None).unwrap();
+        rid(&engine, &snapshot, None).unwrap();
         let config = RidConfig {
             alpha: 2.0,
             ..RidConfig::default()
         };
-        engine.rid(&snapshot, Some(config)).unwrap();
+        rid(&engine, &snapshot, Some(config)).unwrap();
         assert_eq!(engine.stats().cache_misses, 2);
     }
 
@@ -512,9 +470,9 @@ mod tests {
         let engine = engine(1);
         let a = scenario_snapshot(4);
         let b = scenario_snapshot(5);
-        let first_a = engine.rid(&a, None).unwrap();
-        engine.rid(&b, None).unwrap(); // evicts a
-        let again_a = engine.rid(&a, None).unwrap(); // re-extracts
+        let first_a = rid(&engine, &a, None).unwrap();
+        rid(&engine, &b, None).unwrap(); // evicts a
+        let again_a = rid(&engine, &a, None).unwrap(); // re-extracts
         assert_eq!(first_a, again_a);
         let stats = engine.stats();
         assert!(stats.cache_evictions >= 1);
@@ -529,7 +487,7 @@ mod tests {
             beta: -1.0,
             ..RidConfig::default()
         };
-        assert!(engine.rid(&snapshot, Some(bad)).is_err());
+        assert!(rid(&engine, &snapshot, Some(bad)).is_err());
     }
 
     #[test]
@@ -550,8 +508,8 @@ mod tests {
         // Prewarm the cache with two unrelated snapshots.
         let a = scenario_snapshot(4);
         let b = scenario_snapshot(5);
-        engine.rid(&a, None).unwrap();
-        engine.rid(&b, None).unwrap();
+        rid(&engine, &a, None).unwrap();
+        rid(&engine, &b, None).unwrap();
         assert_eq!(engine.stats().cache_entries, 2);
 
         // A long watch session adopts one fallback after another; each
@@ -571,8 +529,8 @@ mod tests {
 
         // The prewarmed snapshots were never crowded out.
         let hits_before = engine.stats().cache_hits;
-        engine.rid(&a, None).unwrap();
-        engine.rid(&b, None).unwrap();
+        rid(&engine, &a, None).unwrap();
+        rid(&engine, &b, None).unwrap();
         assert_eq!(engine.stats().cache_hits, hits_before + 2);
     }
 
@@ -609,7 +567,7 @@ mod tests {
         engine.adopt_artifacts(&snapshot, &config, artifacts, None);
 
         let misses_before = engine.stats().cache_misses;
-        let served = engine.rid(&session.snapshot(), None).unwrap();
+        let served = rid(&engine, &session.snapshot(), None).unwrap();
         assert_eq!(served, answer);
         assert_eq!(
             engine.stats().cache_misses,
@@ -623,8 +581,8 @@ mod tests {
         let engine = engine(4);
         let shard = engine.shard_clone(Arc::new(Registry::new()));
         let snapshot = scenario_snapshot(9);
-        let a = engine.rid(&snapshot, None).unwrap();
-        let b = shard.rid(&snapshot, None).unwrap();
+        let a = rid(&engine, &snapshot, None).unwrap();
+        let b = rid(&shard, &snapshot, None).unwrap();
         assert_eq!(a, b, "shards answer bit-identically");
         assert_eq!(engine.stats().cache_misses, 1);
         assert_eq!(shard.stats().cache_misses, 1, "caches are independent");
@@ -641,7 +599,7 @@ mod tests {
     #[test]
     fn stats_round_trip_json() {
         let engine = engine(4);
-        engine.rid(&scenario_snapshot(7), None).unwrap();
+        rid(&engine, &scenario_snapshot(7), None).unwrap();
         let stats = engine.stats();
         let back = EngineStats::from_json_value(&stats.to_json_value()).unwrap();
         assert_eq!(back, stats);
@@ -651,20 +609,12 @@ mod tests {
     fn engine_registry_mirrors_stats() {
         let engine = engine(4);
         let snapshot = scenario_snapshot(8);
-        engine.rid(&snapshot, None).unwrap();
-        engine.rid(&snapshot, None).unwrap();
+        rid(&engine, &snapshot, None).unwrap();
+        rid(&engine, &snapshot, None).unwrap();
         let snap = engine.registry().snapshot();
         assert_eq!(snap.counter(names::SERVICE_RID_REQUESTS), Some(2));
         assert_eq!(snap.counter(names::SERVICE_CACHE_HITS), Some(1));
         assert_eq!(snap.counter(names::SERVICE_CACHE_MISSES), Some(1));
-        // The merged snapshot adds the process-global stage timings.
-        let merged = engine.telemetry_snapshot();
-        assert!(merged
-            .histogram(names::RID_EXTRACT_STAGE_NS)
-            .is_some_and(|h| h.count() >= 1));
-        assert!(merged
-            .histogram(names::RID_QUERY_STAGE_NS)
-            .is_some_and(|h| h.count() >= 2));
     }
 
     #[test]
@@ -687,7 +637,7 @@ mod tests {
                 NodeState::Negative,
             ],
         );
-        let result = engine(2).rid(&snapshot, None).unwrap();
+        let result = rid(&engine(2), &snapshot, None).unwrap();
         assert!(!result.detection.initiators.is_empty());
     }
 }

@@ -1,12 +1,18 @@
-//! Snapshot fingerprinting for the engine's artifact cache.
+//! Snapshot fingerprinting: the one key of a `rid` request.
 //!
-//! Cache keys must be (a) cheap relative to forest extraction, (b) a
-//! pure function of snapshot *content* so equal snapshots collide on
+//! Keys must be (a) cheap relative to forest extraction, (b) a pure
+//! function of snapshot *content* so equal snapshots collide on
 //! purpose, and (c) stable across processes so measured hit rates mean
-//! something. The canonical JSON encoding of
-//! [`InfectedNetwork`] already
-//! round-trips every field bit-exactly, so hashing those bytes with
-//! FNV-1a gives all three without a new serialization path.
+//! something. The canonical JSON encoding of [`InfectedNetwork`]
+//! already round-trips every field bit-exactly, so hashing those bytes
+//! with FNV-1a gives all three without a new serialization path.
+//!
+//! The server computes each request's key once, on the io thread:
+//! [`fingerprint_bytes`] over the raw snapshot span when the line
+//! frames (a canonical client's span *is* the canonical encoding), and
+//! [`snapshot_fingerprint`] when only the parsed snapshot exists. That
+//! key routes the request and keys the shard's artifact and result
+//! caches.
 
 use isomit_diffusion::InfectedNetwork;
 

@@ -1,4 +1,4 @@
-//! Zero-copy request framing for the sharded server's io threads.
+//! Zero-copy request framing for the sharded server's io thread.
 //!
 //! [`scan`] walks one request line and returns the byte spans of the
 //! top-level fields the router needs — `id`, `type`, and the routing
@@ -10,16 +10,17 @@
 //! needs its payload decoded, or when the line is in any way unusual.
 //!
 //! The scanner is deliberately strict: *any* anomaly — malformed JSON,
-//! a non-integer id, an escaped `type` string, a duplicated tracked
-//! key — yields `None`, and the caller takes the slow path, whose
+//! a non-integer id, an escaped key or `type` string, a duplicated
+//! tracked key — yields `None`, and the caller takes the slow path, whose
 //! structured errors are the protocol's source of truth. The scanner
 //! can therefore never change what a client observes; it only decides
 //! how cheaply a well-formed line is served.
 //!
 //! For canonical clients (ours) the snapshot span is exactly the bytes
 //! of `InfectedNetwork::to_json_string`, so FNV-1a over the span equals
-//! [`crate::fingerprint::snapshot_fingerprint`] — the router and the
-//! result cache agree on snapshot identity without parsing anything.
+//! [`crate::fingerprint::snapshot_fingerprint`]. That span hash is the
+//! request's one key: the router, the artifact cache and the result
+//! cache agree on snapshot identity without encoding anything.
 
 /// Byte spans of the routed top-level fields of one request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +69,11 @@ pub fn scan(line: &str) -> Option<Frame<'_>> {
         pos = skip_ws(bytes, pos);
         let (key_start, key_end) = scan_string(bytes, pos)?;
         let key = line.get(key_start..key_end)?;
+        // The full parser decodes escaped keys (`snap\u0073hot` is
+        // `snapshot`), so their raw bytes could name the wrong field.
+        if key.contains('\\') {
+            return None;
+        }
         pos = skip_ws(bytes, key_end + 1);
         if bytes.get(pos) != Some(&b':') {
             return None;
@@ -273,13 +279,14 @@ mod tests {
             "this is not json",
             "",
             "{}",
-            r#"{"type": "health"}"#,                          // no id
-            r#"{"id": 1.5, "type": "health"}"#,               // non-integer id
-            r#"{"id": -1, "type": "health"}"#,                // negative id
-            r#"{"id": 1, "type": "heal\th"}"#,                // escaped verb
-            r#"{"id": 1, "type": "health""#,                  // truncated
-            r#"{"id": 1, "id": 2, "type": "health"}"#,        // duplicate key
-            r#"{"id": 1, "type": "health"} trailing"#,        // trailing junk
+            r#"{"type": "health"}"#,                   // no id
+            r#"{"id": 1.5, "type": "health"}"#,        // non-integer id
+            r#"{"id": -1, "type": "health"}"#,         // negative id
+            r#"{"id": 1, "type": "heal\th"}"#,         // escaped verb
+            r#"{"id": 1, "type": "health""#,           // truncated
+            r#"{"id": 1, "id": 2, "type": "health"}"#, // duplicate key
+            r#"{"id": 1, "type": "rid", "snap\u0073hot": {}, "snapshot": {}}"#, // escaped key
+            r#"{"id": 1, "type": "health"} trailing"#, // trailing junk
             r#"{"id": 1, "type": "rid", "fingerprint": 42}"#, // numeric fp
         ] {
             assert_eq!(scan(line), None, "line: {line}");

@@ -11,22 +11,24 @@
 //! * [`RidEngine`] — thread-safe, process-lifetime engine: loads the
 //!   diffusion network once, answers `rid` and `simulate` queries, and
 //!   caches per-snapshot [`isomit_core::ForestArtifacts`] in a bounded
-//!   LRU ([`LruCache`]) keyed by content [`fingerprint`]; cached
-//!   answers are bit-identical to cold ones.
+//!   LRU ([`LruCache`]) keyed by the request's content [`fingerprint`];
+//!   cached answers are bit-identical to cold ones.
 //!   [`RidEngine::shard_clone`] stamps out siblings that share the
 //!   loaded network but keep private caches and registries — the unit
 //!   the server shards over.
 //! * [`Server`] — `std::net` daemon speaking the newline-delimited JSON
-//!   [`protocol`]. Event-driven io over nonblocking sockets (no
-//!   thread-per-connection), with requests routed by rendezvous hashing
-//!   on the snapshot fingerprint to one of N independent shards, each
-//!   owning an engine sibling, a [`BoundedQueue`] admission queue
-//!   (per-shard `overloaded` backpressure), a serialized-result cache
-//!   for the by-fingerprint fast path, and one worker thread. Watch
-//!   sessions are pinned to their owning shard. Per-request deadlines
-//!   and graceful drain-on-shutdown carry over from the single-queue
-//!   design; the wire protocol is byte-compatible with it.
-//! * [`framing`] — zero-copy request scanner the io threads route with:
+//!   [`protocol`]. Event-driven io over nonblocking sockets on one io
+//!   thread (no thread-per-connection), with requests routed by
+//!   rendezvous hashing on the snapshot fingerprint — computed once per
+//!   request, and also the key of the shard's caches — to one of N
+//!   independent shards, each owning an engine sibling, a
+//!   [`BoundedQueue`] admission queue (per-shard `overloaded`
+//!   backpressure), a serialized-result cache for the by-fingerprint
+//!   fast path, and one worker thread. Watch sessions are pinned to
+//!   their owning shard. Per-request deadlines and graceful
+//!   drain-on-shutdown carry over from the single-queue design; the
+//!   wire protocol is byte-compatible with it.
+//! * [`framing`] — zero-copy request scanner the io thread routes with:
 //!   borrows the verb and key spans straight out of the request line so
 //!   cache-hit fast paths never materialize a JSON value, and falls
 //!   back to the full [`protocol`] parser on any anomaly.

@@ -1,30 +1,32 @@
 //! The sharded, event-driven TCP daemon.
 //!
-//! Threading model (one thread per shard, a small fixed set of io
-//! threads, no thread-per-connection):
+//! Threading model (one thread per shard plus one io thread, no
+//! thread-per-connection):
 //!
-//! * **io threads** own the connections. Sockets are nonblocking; each
-//!   io thread sweeps its connections for readable data, frames
-//!   complete lines with the zero-copy [`crate::framing`] scanner, and
-//!   routes. `health` / `stats` / `shutdown` are answered inline (they
-//!   must stay responsive under load), by-fingerprint `rid` requests
-//!   that hit a shard's serialized-result cache are answered inline
-//!   without materializing any JSON, and everything else is parsed and
-//!   enqueued on its owning shard. io thread 0 additionally polls the
-//!   nonblocking listener, so there is no separate accept thread to
-//!   poke at shutdown. When a full sweep makes no progress the thread
-//!   backs off (50 µs doubling to 500 µs) instead of spinning — the
-//!   workspace forbids `unsafe`, so there is no `poll(2)`/`epoll`
-//!   registration; readiness is observed by attempting the reads.
+//! * **the io thread** owns the nonblocking listener and every
+//!   connection. It polls the listener and sweeps its connections for
+//!   readable data, frames complete lines with the zero-copy
+//!   [`crate::framing`] scanner, and routes. `health` / `stats` /
+//!   `shutdown` are answered inline (they must stay responsive under
+//!   load), by-fingerprint `rid` requests that hit a shard's
+//!   serialized-result cache are answered inline without materializing
+//!   any JSON, and everything else is parsed and enqueued on its owning
+//!   shard. There is no separate accept thread to poke at shutdown.
+//!   When a full sweep makes no progress the thread backs off (50 µs
+//!   doubling to 500 µs) instead of spinning — the workspace forbids
+//!   `unsafe`, so there is no `poll(2)`/`epoll` registration; readiness
+//!   is observed by attempting the reads.
 //! * **shards** are independent serving units: each owns a
 //!   [`RidEngine`] sibling (shared network, private artifact cache,
 //!   private registry), a bounded admission queue, a serialized-result
-//!   cache, and exactly one worker thread. Requests are routed by
-//!   rendezvous hashing on the snapshot fingerprint, so one snapshot's
-//!   traffic always lands on the same shard — its caches stay hot and
-//!   shards never contend on a lock. A full shard queue is answered
-//!   immediately with a structured `overloaded` error while the other
-//!   shards keep serving.
+//!   cache, and exactly one worker thread. A `rid` request's snapshot
+//!   is fingerprinted once, on the io thread; that one key picks the
+//!   shard (rendezvous hashing), keys the shard's artifact cache and
+//!   keys its result cache. One snapshot's traffic therefore always
+//!   lands on the same shard — its caches stay hot and shards never
+//!   contend on a lock. A full shard queue is answered immediately with
+//!   a structured `overloaded` error while the other shards keep
+//!   serving.
 //! * **watch sessions** are pinned to the shard chosen at `watch_open`;
 //!   the per-shard queue is FIFO and the worker is single-threaded, so
 //!   the delta stream applies in order and the `IncrementalRid` state
@@ -34,8 +36,8 @@
 //!
 //! Shutdown (via the protocol `shutdown` request or
 //! [`Server::trigger_shutdown`]) closes every shard queue: queued work
-//! drains, new work is refused with `shutting_down`, and the io threads
-//! exit once the last worker finishes. There is no signal handler —
+//! drains, new work is refused with `shutting_down`, and the io thread
+//! exits once the last worker finishes. There is no signal handler —
 //! `unsafe` (and thus libc) is forbidden workspace-wide — so process
 //! supervisors should send the protocol `shutdown` request; SIGTERM
 //! still works, just without the drain.
@@ -81,10 +83,6 @@ pub struct ServerConfig {
     /// Concurrent watch sessions admitted across all connections;
     /// beyond it `watch_open` is answered with `overloaded`.
     pub max_watch_sessions: usize,
-    /// io threads sweeping connections for readable data. One is right
-    /// for small machines; add more only when io itself saturates a
-    /// core.
-    pub io_threads: usize,
     /// Serialized-result cache entries **per shard**, serving the
     /// by-fingerprint `rid` fast path.
     pub result_cache_capacity: usize,
@@ -97,7 +95,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             request_timeout: Duration::from_secs(30),
             max_watch_sessions: 4,
-            io_threads: 1,
             result_cache_capacity: 512,
         }
     }
@@ -108,15 +105,15 @@ impl Default for ServerConfig {
 const MAX_WRITE_STALLS: u32 = 100_000;
 
 /// Lines one connection may have processed per io sweep, bounding how
-/// long a pipelining client can monopolize its io thread.
+/// long a pipelining client can monopolize the io thread.
 const MAX_LINES_PER_SWEEP: usize = 128;
 
 /// Backoff window of an idle io sweep.
 const MIN_BACKOFF: Duration = Duration::from_micros(50);
 const MAX_BACKOFF: Duration = Duration::from_micros(500);
 
-/// One accepted connection. The owning io thread is the only reader;
-/// writes come from io and worker threads under `write_lock`.
+/// One accepted connection. The io thread is the only reader; writes
+/// come from the io and worker threads under `write_lock`.
 #[derive(Debug)]
 struct Conn {
     id: u64,
@@ -165,9 +162,13 @@ enum Work {
         snapshot: Box<InfectedNetwork>,
         config: Option<RidConfig>,
         detector: Option<DetectorKind>,
-        /// Result-cache key under which to file the serialized answer,
-        /// when the request line framed cleanly (canonical clients).
-        result_key: Option<(u64, u64)>,
+        /// The snapshot fingerprint the io thread routed on; it also
+        /// keys the shard's artifact and result caches.
+        fingerprint: u64,
+        /// Result-cache key half of the request's config and detector
+        /// spans, when the line framed; the answer is filed under
+        /// `(fingerprint, config_key)`.
+        config_key: Option<u64>,
     },
     Simulate {
         seeds: SeedSet,
@@ -190,11 +191,10 @@ enum Work {
 }
 
 /// One serving shard: a sibling engine (shared network, private
-/// caches), its bounded admission queue, its serialized-result cache,
-/// and the registry its metrics (plus per-shard aliases) record into.
+/// caches, and the registry its metrics plus per-shard aliases record
+/// into), its bounded admission queue and its serialized-result cache.
 struct Shard {
     engine: Arc<RidEngine>,
-    registry: Arc<Registry>,
     queue: BoundedQueue<Job>,
     results: Mutex<LruCache<(u64, u64), Arc<str>>>,
     /// The shard's `service.rid_requests` handle, bumped by the io-side
@@ -208,13 +208,14 @@ impl Shard {
     }
 }
 
-/// State shared by the io threads and shard workers.
+/// State shared by the io thread and shard workers.
 struct Shared {
-    engine: Arc<RidEngine>,
+    /// At least one shard; shard 0's engine answers `health` and
+    /// supplies the default watch config.
     shards: Vec<Arc<Shard>>,
     shutdown: AtomicBool,
-    /// Shard workers still draining; io threads exit at shutdown once
-    /// this reaches zero.
+    /// Shard workers still draining; the io thread exits at shutdown
+    /// once this reaches zero.
     workers_alive: AtomicUsize,
     addr: SocketAddr,
     timeout: Duration,
@@ -258,13 +259,13 @@ impl std::fmt::Debug for Shared {
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    io_threads: Vec<JoinHandle<()>>,
+    io_thread: JoinHandle<()>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// io threads and one worker per shard.
+    /// io thread and one worker per shard.
     ///
     /// `engine` becomes shard 0 and its registry the primary registry
     /// carrying the server-level histograms; shards 1..N are
@@ -290,7 +291,7 @@ impl Server {
                 } else {
                     Arc::new(engine.shard_clone(Arc::new(Registry::new())))
                 };
-                let registry = Arc::clone(shard_engine.registry());
+                let registry = shard_engine.registry();
                 // Per-shard aliases: the same atomics show up both under
                 // the fleet-wide service.* names (summed across shards on
                 // merge) and under shard.<i>.* for attribution.
@@ -304,16 +305,15 @@ impl Server {
                 );
                 let queue = BoundedQueue::with_metrics(
                     config.queue_capacity,
-                    QueueMetrics::registered_for_shard(&registry, i),
+                    QueueMetrics::registered_for_shard(registry, i),
                 );
                 let results = Mutex::new(LruCache::with_metrics(
                     config.result_cache_capacity,
-                    CacheMetrics::registered_for_results(&registry),
+                    CacheMetrics::registered_for_results(registry),
                 ));
                 let rid_requests = registry.counter(names::SERVICE_RID_REQUESTS);
                 Arc::new(Shard {
                     engine: shard_engine,
-                    registry,
                     queue,
                     results,
                     rid_requests,
@@ -321,7 +321,7 @@ impl Server {
             })
             .collect();
 
-        let primary = Arc::clone(engine.registry());
+        let primary = engine.registry();
         let shared = Arc::new(Shared {
             shards,
             shutdown: AtomicBool::new(false),
@@ -339,7 +339,6 @@ impl Server {
             watch_fallbacks: primary.counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS),
             watch_shed: primary.counter(names::WATCH_SESSIONS_SHED),
             imbalance_pct: primary.gauge(names::SERVICE_SHARD_IMBALANCE_PCT),
-            engine,
         });
 
         let worker_threads = shared
@@ -352,30 +351,14 @@ impl Server {
             })
             .collect();
 
-        let io_count = config.io_threads.max(1);
-        let inboxes: Vec<Arc<Mutex<Vec<Arc<Conn>>>>> = (0..io_count)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let mut listener = Some(listener);
-        let io_threads = inboxes
-            .iter()
-            .enumerate()
-            .map(|(i, inbox)| {
-                let shared = Arc::clone(&shared);
-                let inbox = Arc::clone(inbox);
-                let all = inboxes.clone();
-                // io thread 0 owns the (nonblocking) listener; the rest
-                // only sweep the connections handed to their inboxes.
-                let listener = if i == 0 { listener.take() } else { None };
-                std::thread::spawn(move || {
-                    io_loop(&shared, listener.as_ref(), &inbox, &all);
-                })
-            })
-            .collect();
+        let io_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || io_loop(&shared, &listener))
+        };
 
         Ok(Server {
             shared,
-            io_threads,
+            io_thread,
             worker_threads,
         })
     }
@@ -392,7 +375,7 @@ impl Server {
         trigger_shutdown(&self.shared);
     }
 
-    /// Waits for the io threads and all shard workers to finish. Call
+    /// Waits for the io thread and all shard workers to finish. Call
     /// after [`trigger_shutdown`](Server::trigger_shutdown) or once a
     /// client has sent the protocol `shutdown` request.
     pub fn join(self) {
@@ -401,9 +384,7 @@ impl Server {
         for worker in self.worker_threads {
             let _ = worker.join();
         }
-        for io in self.io_threads {
-            let _ = io.join();
-        }
+        let _ = self.io_thread.join();
     }
 
     /// [`trigger_shutdown`](Server::trigger_shutdown) then
@@ -421,11 +402,11 @@ fn trigger_shutdown(shared: &Shared) {
     for shard in &shared.shards {
         shard.queue.close();
     }
-    // The io threads poll the flag each sweep; no wake-up poke needed.
+    // The io thread polls the flag each sweep; no wake-up poke needed.
 }
 
 /// The shard index (out of `shards`) that requests for snapshot
-/// fingerprint `fp` route to. This is exactly the io threads' routing
+/// fingerprint `fp` route to. This is exactly the io thread's routing
 /// function, exposed so tests and capacity tooling can predict
 /// placement.
 pub fn shard_for_fingerprint(fp: u64, shards: usize) -> usize {
@@ -493,61 +474,41 @@ enum Pump {
     Closed,
 }
 
-fn io_loop(
-    shared: &Arc<Shared>,
-    listener: Option<&TcpListener>,
-    inbox: &Mutex<Vec<Arc<Conn>>>,
-    all_inboxes: &[Arc<Mutex<Vec<Arc<Conn>>>>],
-) {
+fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let mut conns: Vec<ConnState> = Vec::new();
     let mut backoff = MIN_BACKOFF;
-    let mut next_io = 0usize;
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         if draining && shared.workers_alive.load(Ordering::SeqCst) == 0 {
             break;
         }
         let mut progress = false;
-        if let Some(listener) = listener {
-            if !draining {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            progress = true;
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            // Replies are single small lines; without
-                            // nodelay, Nagle + the client's delayed ACK
-                            // put a ~40ms floor under every round trip.
-                            let _ = stream.set_nodelay(true);
-                            let conn = Arc::new(Conn {
+        if !draining {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        progress = true;
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        // Replies are single small lines; without
+                        // nodelay, Nagle + the client's delayed ACK put
+                        // a ~40ms floor under every round trip.
+                        let _ = stream.set_nodelay(true);
+                        conns.push(ConnState {
+                            conn: Arc::new(Conn {
                                 id: shared.conn_seq.fetch_add(1, Ordering::Relaxed),
                                 stream,
                                 write_lock: Mutex::new(()),
-                            });
-                            let slot = all_inboxes
-                                .get(next_io % all_inboxes.len())
-                                .expect("index is reduced modulo the inbox count");
-                            slot.lock().unwrap_or_else(|p| p.into_inner()).push(conn);
-                            next_io += 1;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => break,
+                            }),
+                            buf: Vec::new(),
+                            watch: None,
+                        });
                     }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
                 }
-            }
-        }
-        {
-            let mut adopted = inbox.lock().unwrap_or_else(|p| p.into_inner());
-            for conn in adopted.drain(..) {
-                conns.push(ConnState {
-                    conn,
-                    buf: Vec::new(),
-                    watch: None,
-                });
-                progress = true;
             }
         }
         let mut i = 0;
@@ -610,7 +571,7 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
         Err(_) => eof = true,
     }
 
-    let buf = std::mem::take(&mut state.buf);
+    let mut buf = std::mem::take(&mut state.buf);
     let mut cursor = 0usize;
     let mut processed = 0usize;
     let mut alive = true;
@@ -637,7 +598,10 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
             break;
         }
     }
-    state.buf = buf.get(cursor..).unwrap_or_default().to_vec();
+    // Compact in place: a line still arriving is not copied again on
+    // every sweep.
+    buf.drain(..cursor);
+    state.buf = buf;
 
     if !alive {
         return Pump::Closed;
@@ -708,17 +672,12 @@ fn serve_request(
         // responsive (and observable) even when the data plane is
         // saturated.
         RequestBody::Health => {
+            let graph = shard_at(shared, 0).engine.graph();
             let result = Value::Object(vec![
                 ("status".into(), Value::String("ok".into())),
                 ("version".into(), Value::String(PROTOCOL_VERSION.into())),
-                (
-                    "nodes".into(),
-                    Value::Number(shared.engine.graph().node_count() as f64),
-                ),
-                (
-                    "edges".into(),
-                    Value::Number(shared.engine.graph().edge_count() as f64),
-                ),
+                ("nodes".into(), Value::Number(graph.node_count() as f64)),
+                ("edges".into(), Value::Number(graph.edge_count() as f64)),
             ]);
             send(conn, ok_line(id, result))
         }
@@ -739,24 +698,24 @@ fn serve_request(
             config,
             detector,
         } => {
-            // Route on the raw snapshot span when the line framed
-            // cleanly (canonical encodings hash to the true snapshot
-            // fingerprint); otherwise fall back to fingerprinting the
-            // parsed snapshot. The result cache is only primed on the
-            // span path — its keys must match what by-fingerprint
-            // lookups compute from their own spans.
-            let (fp, result_key) = match frame.and_then(|f| f.snapshot) {
-                Some(span) => {
-                    let fp = fingerprint_bytes(span.as_bytes());
-                    let key = span_config_key(
+            // The request's one fingerprint: the raw snapshot span when
+            // the line framed cleanly (canonical encodings hash to the
+            // canonical fingerprint), otherwise the parsed snapshot's
+            // canonical fingerprint. It routes the request and keys both
+            // of the shard's caches. The result cache is only primed on
+            // the span path — its config half must match what
+            // by-fingerprint lookups compute from their own spans.
+            let (fingerprint, config_key) = match frame.and_then(|f| f.snapshot) {
+                Some(span) => (
+                    fingerprint_bytes(span.as_bytes()),
+                    Some(span_config_key(
                         frame.and_then(|f| f.config),
                         frame.and_then(|f| f.detector),
-                    );
-                    (fp, Some((fp, key)))
-                }
+                    )),
+                ),
                 None => (snapshot_fingerprint(&snapshot), None),
             };
-            let shard = rendezvous(fp, shared.shards.len());
+            let shard = rendezvous(fingerprint, shared.shards.len());
             enqueue(
                 shard,
                 Job {
@@ -768,7 +727,8 @@ fn serve_request(
                         snapshot,
                         config,
                         detector,
-                        result_key,
+                        fingerprint,
+                        config_key,
                     },
                 },
                 conn,
@@ -916,7 +876,7 @@ fn stats_payload(shared: &Shared) -> Value {
 
     let mut telemetry = isomit_telemetry::global().snapshot();
     for shard in &shared.shards {
-        telemetry = telemetry.merge(&shard.registry.snapshot());
+        telemetry = telemetry.merge(&shard.engine.registry().snapshot());
     }
 
     let mut stats = total.to_json_value();
@@ -972,7 +932,7 @@ fn serve_watch_open(
         );
         return send(conn, error_line(Some(id), &error));
     }
-    let config = config.unwrap_or_else(|| shared.engine.default_config());
+    let config = config.unwrap_or_else(|| shard_at(shared, 0).engine.default_config());
     let session = match IncrementalRid::new(config) {
         Ok(session) => session,
         Err(error) => {
@@ -1019,14 +979,14 @@ fn serve_watch_open(
     }
 }
 
-/// The shard at `index`; every caller derives the index from
-/// [`rendezvous`] over the current shard count, so it is always in
-/// range.
+/// The shard at `index`; every caller passes 0 (`start` creates at
+/// least one shard) or derives the index from [`rendezvous`] over the
+/// current shard count, so it is always in range.
 fn shard_at(shared: &Shared, index: usize) -> &Shard {
     shared
         .shards
         .get(index)
-        .expect("rendezvous picks a shard below the count")
+        .expect("shard indices are below the shard count")
 }
 
 /// Forwards a watch verb to the session's pinned shard with
@@ -1105,8 +1065,9 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                         snapshot,
                         config,
                         detector,
-                        result_key,
-                    } => match shard.engine.rid_with_detector(&snapshot, config, detector) {
+                        fingerprint,
+                        config_key,
+                    } => match shard.engine.rid(&snapshot, fingerprint, config, detector) {
                         Ok(result) => {
                             let mut payload = result.to_json_value();
                             // Echo the detector only when the request
@@ -1119,10 +1080,11 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                                 ));
                             }
                             let serialized = payload.to_json();
-                            if let Some(key) = result_key {
-                                shard
-                                    .lock_results()
-                                    .insert(key, Arc::<str>::from(serialized.as_str()));
+                            if let Some(config_key) = config_key {
+                                shard.lock_results().insert(
+                                    (fingerprint, config_key),
+                                    Arc::<str>::from(serialized.as_str()),
+                                );
                             }
                             ok_line_raw(id, &serialized)
                         }

@@ -850,6 +850,106 @@ fn same_fingerprint_requests_land_on_the_same_shard() {
 }
 
 #[test]
+fn rid_lines_the_scanner_refuses_share_the_framed_cache_key() {
+    let daemon = Daemon::spawn(&["--shards", "4"]);
+    let mut raw = daemon.raw();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
+    let mut exchange = |line: &str| -> String {
+        raw.write_all(line.as_bytes()).expect("write");
+        raw.write_all(b"\n").expect("write newline");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        let response = isomit_service::protocol::parse_response(&reply).expect("envelope");
+        response.outcome.expect("rid succeeds").to_json()
+    };
+
+    let snap = snapshot(1);
+    let canonical = snap.to_json_string();
+    // The scanner refuses the id `5.0`; the full parser accepts it, and
+    // the server keys the request by the parsed snapshot's fingerprint.
+    let unframed = exchange(&format!(
+        "{{\"id\":5.0,\"type\":\"rid\",\"snapshot\":{canonical}}}"
+    ));
+    let mut client = daemon.client();
+    let framed = client
+        .rid(&snap, None)
+        .expect("framed rid")
+        .to_json_value()
+        .to_json();
+    assert_eq!(unframed, framed);
+    // The framed request's span hash found the unframed request's
+    // artifacts: both parse paths produce one key.
+    let telemetry = client.telemetry().expect("telemetry");
+    assert_eq!(telemetry.counter(names::SERVICE_CACHE_MISSES), Some(1));
+    assert_eq!(telemetry.counter(names::SERVICE_CACHE_HITS), Some(1));
+
+    // A non-canonical encoding frames, but its span hash is a key of
+    // its own: a fresh extraction with the same answer.
+    let spaced = canonical.replace("\",\"", "\", \"");
+    assert_ne!(spaced, canonical);
+    let respaced = exchange(&format!(
+        "{{\"id\":7,\"type\":\"rid\",\"snapshot\":{spaced}}}"
+    ));
+    assert_eq!(respaced, framed);
+    let telemetry = client.telemetry().expect("telemetry");
+    assert_eq!(telemetry.counter(names::SERVICE_CACHE_MISSES), Some(2));
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_escaped_snapshot_key_cannot_file_one_snapshot_under_anothers_key() {
+    let daemon = Daemon::spawn(&["--shards", "4"]);
+    let small = snapshot(1);
+    let mut rng = StdRng::seed_from_u64(2);
+    let social = isomit_datasets::epinions_like_scaled(0.04, &mut rng);
+    let large = isomit_datasets::build_scenario(
+        &social,
+        &isomit_datasets::ScenarioConfig::small(),
+        &mut rng,
+    )
+    .snapshot;
+    assert!(large.node_count() > small.node_count());
+
+    // The full parser decodes the key `snap\u0073hot` to `snapshot` and
+    // takes the first match, so this line asks about `large`; the
+    // unescaped `snapshot` key that follows holds `small`.
+    let line = format!(
+        "{{\"id\":1,\"type\":\"rid\",\"snap\\u0073hot\":{},\"snapshot\":{}}}\n",
+        large.to_json_string(),
+        small.to_json_string()
+    );
+    let mut raw = daemon.raw();
+    raw.write_all(line.as_bytes()).expect("write");
+    let mut reply = String::new();
+    BufReader::new(raw)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let response = isomit_service::protocol::parse_response(&reply).expect("envelope");
+    let answered = isomit_core::RidResult::from_json_value(&response.outcome.expect("rid"))
+        .expect("rid result");
+    assert_eq!(
+        answered.detection,
+        expected_detection(&large, RidConfig::default())
+    );
+
+    // A canonical request for `small` must not find `large`'s artifacts
+    // under `small`'s key. Finding them panics the shard's worker and
+    // no reply ever comes, so the request waits on a deadline.
+    let expected = expected_detection(&small, RidConfig::default());
+    let mut client = daemon.client();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(client.rid(&small, None).map(|served| served.detection));
+    });
+    let served = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the canonical rid gets a reply")
+        .expect("canonical rid");
+    assert_eq!(served, expected);
+    daemon.client().shutdown().expect("shutdown");
+}
+
+#[test]
 fn sixty_four_concurrent_clients_get_bit_identical_answers() {
     let daemon = Daemon::spawn(&["--shards", "4"]);
 
