@@ -1,6 +1,14 @@
+//! The infected network `G_I` handed to detection, and its JSON codec.
+//!
+//! [`InfectedNetwork::from_json_str`] is the one snapshot decoder: it
+//! reads with the pull [`Reader`] straight into an edge list, states
+//! and mapping, checks that they agree on the node count, and only then
+//! builds the CSR graph, so a few hostile bytes cannot make it allocate
+//! for billions of nodes. It builds no [`Value`] tree.
+
 use crate::model::gen_unit;
 use crate::Cascade;
-use isomit_graph::json::{JsonError, Value};
+use isomit_graph::json::{GraphDoc, JsonError, Reader, Value};
 use isomit_graph::{
     GraphError, NodeId, NodeMapping, NodeState, SignedDigraph, SignedDigraphBuilder,
 };
@@ -224,48 +232,53 @@ impl InfectedNetwork {
     }
 
     /// Decodes a snapshot produced by
-    /// [`to_json_string`](InfectedNetwork::to_json_string).
+    /// [`to_json_string`](InfectedNetwork::to_json_string) in one pass,
+    /// straight into an edge list, states and mapping, then the CSR
+    /// arrays. No [`Value`] tree is built.
+    ///
+    /// A duplicated key keeps its first value, as [`Value::get`] does;
+    /// other keys are validated and ignored. The node count must match
+    /// the number of states before anything is allocated for the nodes,
+    /// so every allocation is bounded by the input. The snapshot is
+    /// always [`validate`](InfectedNetwork::validate)d: it is external
+    /// input.
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed JSON, schema mismatches, or
-    /// inconsistent lengths between graph, states and mapping.
+    /// Returns a [`JsonError`] on malformed JSON or trailing input, then
+    /// on the first schema violation in the order `graph`, `states`,
+    /// `mapping`, then on inconsistent lengths between graph, states and
+    /// mapping, or a failed invariant.
     pub fn from_json_str(input: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Value::parse(input)?)
-    }
-
-    /// Decodes a snapshot from an already-parsed JSON [`Value`] — the
-    /// form embedded in serving-protocol requests.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on schema mismatches or inconsistent
-    /// lengths between graph, states and mapping.
-    pub fn from_json_value(doc: &Value) -> Result<Self, JsonError> {
-        let graph = SignedDigraph::from_json_value(doc.require("graph")?)?;
-        let states = doc
-            .require("states")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("`states` must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| JsonError::new("each state must be a string"))
-                    .and_then(NodeState::from_symbol)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let original_ids = doc
-            .require("mapping")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("`mapping` must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_usize()
-                    .map(NodeId::from_index)
-                    .ok_or_else(|| JsonError::new("each mapping entry must be a node id"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if states.len() != graph.node_count() || original_ids.len() != graph.node_count() {
+        let mut reader = Reader::new(input);
+        let (mut graph, mut states, mut mapping) = (None, None, None);
+        if let Some(mut fields) = reader.read_object()? {
+            while let Some(key) = fields.next_key(&mut reader)? {
+                match &*key {
+                    "graph" if graph.is_none() => graph = Some(GraphDoc::read(&mut reader)?),
+                    "states" if states.is_none() => {
+                        states = Some(reader.read_vec("states", |r| {
+                            Ok(r.read_string()?
+                                .ok_or_else(|| JsonError::new("each state must be a string"))
+                                .and_then(|symbol| NodeState::from_symbol(&symbol)))
+                        })?);
+                    }
+                    "mapping" if mapping.is_none() => {
+                        mapping = Some(reader.read_vec("mapping", |r| {
+                            Ok(r.read_index()?.map(NodeId::from_index).ok_or_else(|| {
+                                JsonError::new("each mapping entry must be a node id")
+                            }))
+                        })?);
+                    }
+                    _ => reader.skip()?,
+                }
+            }
+        }
+        reader.finish()?;
+        let graph = graph.ok_or_else(|| JsonError::missing("graph"))??;
+        let states = states.ok_or_else(|| JsonError::missing("states"))??;
+        let original_ids = mapping.ok_or_else(|| JsonError::missing("mapping"))??;
+        if graph.node_count() != states.len() || original_ids.len() != states.len() {
             return Err(JsonError::new(
                 "graph, states and mapping disagree on node count",
             ));
@@ -278,12 +291,10 @@ impl InfectedNetwork {
         let mapping = NodeMapping::from_original_ids(original_ids)
             .map_err(|e| JsonError::new(e.to_string()))?;
         let snapshot = InfectedNetwork {
-            graph,
+            graph: graph.build(),
             states,
             mapping,
         };
-        // JSON snapshots are external input: always validate, not only in
-        // debug builds.
         snapshot
             .validate()
             .map_err(|e| JsonError::new(e.to_string()))?;
@@ -476,6 +487,41 @@ mod tests {
         assert_ne!(json, corrupt, "fixture mapping changed; update the test");
         let err = InfectedNetwork::from_json_str(&corrupt).unwrap_err();
         assert!(err.to_string().contains("duplicate original ids"), "{err}");
+    }
+
+    #[test]
+    fn node_counts_that_disagree_are_refused_before_the_graph_is_built() {
+        // Each names up to 2^32 - 1 nodes in a few bytes; sizing the CSR
+        // arrays first would ask for tens of gigabytes.
+        for input in [
+            r#"{"graph":{"nodes":4294967295,"edges":[]},"states":[],"mapping":[]}"#,
+            r#"{"graph":{"nodes":1,"edges":[[0,4294967294,1,0.5]]},"states":["+"],"mapping":[0]}"#,
+            r#"{"graph":{"nodes":100000000,"edges":[]},"states":["+"],"mapping":[0]}"#,
+            r#"{"graph":{"nodes":1,"edges":[]},"states":["+"],"mapping":[0,1]}"#,
+        ] {
+            let err = InfectedNetwork::from_json_str(input).unwrap_err();
+            assert!(
+                err.to_string().contains("disagree on node count"),
+                "{input}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn json_decoding_keeps_first_duplicates_and_ignores_unknown_keys() {
+        let input = r#"{"x": [1, {"y": null}], "graph": {"edges": [[1, 0, -1, 0.5]],
+            "nodes": 2, "nodes": 7}, "states": ["+", "?"], "graph": 3,
+            "mapping": [9, 4], "states": "ignored"}"#;
+        let snapshot = InfectedNetwork::from_json_str(input).unwrap();
+        assert_eq!(snapshot.node_count(), 2);
+        assert_eq!(
+            snapshot.states(),
+            &[NodeState::Positive, NodeState::Unknown]
+        );
+        assert_eq!(snapshot.mapping().to_original(NodeId(1)), Some(NodeId(4)));
+        // Malformed JSON in an ignored key is still an error.
+        let bad = input.replace("null", "nul");
+        assert!(InfectedNetwork::from_json_str(&bad).is_err());
     }
 
     #[test]

@@ -95,8 +95,18 @@ impl SignedDigraph {
     /// # }
     /// ```
     pub fn from_edge_vec(min_nodes: usize, edges: Vec<Edge>) -> Result<Self, GraphError> {
+        let node_count = Self::checked_node_count(min_nodes, &edges)?;
+        Ok(Self::from_validated_edges(node_count, edges))
+    }
+
+    /// [`from_edge_vec`](SignedDigraph::from_edge_vec)'s checks, in edge
+    /// order, without building: the node count the edges span.
+    pub(crate) fn checked_node_count(
+        min_nodes: usize,
+        edges: &[Edge],
+    ) -> Result<usize, GraphError> {
         let mut node_count = min_nodes;
-        for e in &edges {
+        for e in edges {
             if !e.weight.is_finite() || !(0.0..=1.0).contains(&e.weight) {
                 return Err(GraphError::InvalidWeight {
                     src: e.src,
@@ -109,7 +119,7 @@ impl SignedDigraph {
             }
             node_count = node_count.max(e.src.index() + 1).max(e.dst.index() + 1);
         }
-        Ok(Self::from_validated_edges(node_count, edges))
+        Ok(node_count)
     }
 
     /// Internal constructor used by the builder. `edges` must already be

@@ -2,8 +2,15 @@
 //!
 //! The build environment has no registry access, so instead of
 //! `serde_json` this module carries a small self-contained JSON document
-//! model ([`Value`]), a recursive-descent parser ([`Value::parse`]) and a
-//! writer ([`Value::to_json`]), plus the codec for [`SignedDigraph`].
+//! model ([`Value`]) with its writer ([`Value::to_json`]), one lexer —
+//! the pull [`Reader`] — and the codec for [`SignedDigraph`].
+//!
+//! The lexer runs in linear time: a string's plain bytes are copied one
+//! run at a time, and a digits-only number of at most 15 digits is
+//! summed as an integer, which is exact. [`Value::parse`] builds a tree
+//! with it; the graph and snapshot codecs read with it straight into
+//! edge lists and then CSR arrays, never building a [`Value`]. Both
+//! follow one grammar, so they accept the same documents.
 //!
 //! Numbers are `f64`. The writer emits integral values without a decimal
 //! point and everything else through Rust's shortest-round-trip `{:?}`
@@ -19,6 +26,7 @@
 //! Each edge is `[src, dst, sign, weight]` with `sign` being `1` or `-1`.
 
 use crate::{Edge, NodeId, NodeState, Sign, SignedDigraph};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -51,6 +59,11 @@ impl JsonError {
             message: message.into(),
         }
     }
+
+    /// The error for a required object field that is absent.
+    pub fn missing(key: &str) -> Self {
+        JsonError::new(format!("missing field `{key}`"))
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -69,16 +82,9 @@ impl Value {
     /// Returns a [`JsonError`] on malformed JSON or trailing input after
     /// the document.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut reader = Reader::new(input);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -149,12 +155,7 @@ impl Value {
 
     /// The number inside as a `usize`, if it is integral and in range.
     pub fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
-            Some(n as usize)
-        } else {
-            None
-        }
+        self.as_f64().and_then(index_from_f64)
     }
 
     /// The string inside, if this is a [`Value::String`].
@@ -188,14 +189,17 @@ impl Value {
     /// Returns a [`JsonError`] when `self` is not an object or the key
     /// is absent.
     pub fn require(&self, key: &str) -> Result<&Value, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
+        self.get(key).ok_or_else(|| JsonError::missing(key))
     }
 }
 
 fn write_number(n: f64, out: &mut String) {
     use fmt::Write;
-    if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+    if n.is_infinite() {
+        // The parser reads an overflowing literal as infinity, so this
+        // keeps `parse(to_json(v)) == v` where `{:?}` would write `inf`.
+        out.push_str(if n > 0.0 { "1e999" } else { "-1e999" });
+    } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
         write!(out, "{}", n as i64).expect("writing to String cannot fail");
     } else {
         // `{:?}` is Rust's shortest representation that parses back to
@@ -223,18 +227,335 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document, and the one lexer of this
+/// module: [`Value::parse`] is built on it, and the codecs read
+/// straight into their own types with it.
+///
+/// Every `read_*` method first skips whitespace. When the next value has
+/// the asked-for type it is read; otherwise it is skipped, validated as
+/// [`Value::parse`] would, and the method returns `None`. So a decoder
+/// can note a schema violation and keep reading: malformed JSON anywhere
+/// in the document is still reported first, as by [`Value::parse`].
+///
+/// ```
+/// use isomit_graph::json::Reader;
+///
+/// # fn main() -> Result<(), isomit_graph::json::JsonError> {
+/// let mut reader = Reader::new(r#"{"a": [1, 2], "b": "x"}"#);
+/// let mut sum = 0.0;
+/// let mut fields = reader.read_object()?.expect("an object");
+/// while let Some(key) = fields.next_key(&mut reader)? {
+///     match &*key {
+///         "a" => {
+///             let mut items = reader.read_array()?.expect("an array");
+///             while items.next_item(&mut reader)? {
+///                 sum += reader.read_number()?.unwrap_or(0.0);
+///             }
+///         }
+///         _ => reader.skip()?,
+///     }
+/// }
+/// reader.finish()?;
+/// assert_eq!(sum, 3.0);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+/// Iteration state of one array or object opened by a [`Reader`]:
+/// whether the next member is the first, and the closing byte.
+#[derive(Debug)]
+pub struct Members {
+    first: bool,
+    close: u8,
+}
+
+impl Members {
+    /// Moves to the next item of an array: `true` with the reader at the
+    /// item, which the caller must read or skip, or `false` past `]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the array is malformed.
+    pub fn next_item(&mut self, reader: &mut Reader<'_>) -> Result<bool, JsonError> {
+        if !self.separator(reader)? {
+            return Ok(false);
+        }
+        reader.skip_ws();
+        Ok(true)
+    }
+
+    /// Moves to the next field of an object: its decoded key with the
+    /// reader at the value, which the caller must read or skip, or
+    /// `None` past `}`. A key without escapes is borrowed from the
+    /// input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the object is malformed.
+    pub fn next_key<'a>(
+        &mut self,
+        reader: &mut Reader<'a>,
+    ) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.separator(reader)? {
+            return Ok(None);
+        }
+        reader.skip_ws();
+        let key = reader.string()?;
+        reader.skip_ws();
+        reader.eat(b':')?;
+        reader.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Consumes the `,` before a member, or the closing byte.
+    fn separator(&mut self, reader: &mut Reader<'_>) -> Result<bool, JsonError> {
+        if std::mem::take(&mut self.first) {
+            if reader.peek() == Some(self.close) {
+                reader.pos += 1;
+                return Ok(false);
+            }
+            return Ok(true);
+        }
+        reader.skip_ws();
+        match reader.peek() {
+            Some(b',') => {
+                reader.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == self.close => {
+                reader.pos += 1;
+                Ok(false)
+            }
+            _ => Err(reader.err(if self.close == b']' {
+                "expected `,` or `]`"
+            } else {
+                "expected `,` or `}`"
+            })),
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            text: input,
+            pos: 0,
+        }
+    }
+
+    /// Byte offset of the next unread byte.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Requires that only whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on trailing input.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    /// Opens an object; iterate it with [`Members::next_key`]. Any other
+    /// value is skipped and gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when a skipped value is malformed.
+    pub fn read_object(&mut self) -> Result<Option<Members>, JsonError> {
+        self.open(b'{', b'}')
+    }
+
+    /// Opens an array; iterate it with [`Members::next_item`]. Any other
+    /// value is skipped and gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when a skipped value is malformed.
+    pub fn read_array(&mut self) -> Result<Option<Members>, JsonError> {
+        self.open(b'[', b']')
+    }
+
+    /// Reads a number; any other value is skipped and gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is malformed.
+    pub fn read_number(&mut self) -> Result<Option<f64>, JsonError> {
+        self.skip_ws();
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Reads a node index: a number accepted by [`Value::as_usize`].
+    /// Any other value is skipped and gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is malformed.
+    pub fn read_index(&mut self) -> Result<Option<usize>, JsonError> {
+        Ok(self.read_number()?.and_then(index_from_f64))
+    }
+
+    /// Reads a string, borrowed from the input when it has no escapes.
+    /// Any other value is skipped and gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is malformed.
+    pub fn read_string(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Reads an array whose items `item` decodes. A schema violation —
+    /// not an array, or the first item `item` refuses — is returned as
+    /// the inner error, after the rest of the array was skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is malformed.
+    pub fn read_vec<T>(
+        &mut self,
+        field: &str,
+        mut item: impl FnMut(&mut Self) -> Result<Result<T, JsonError>, JsonError>,
+    ) -> Result<Result<Vec<T>, JsonError>, JsonError> {
+        let Some(mut items) = self.read_array()? else {
+            return Ok(Err(JsonError::new(format!("`{field}` must be an array"))));
+        };
+        let mut out = Vec::new();
+        let mut refused = None;
+        while items.next_item(self)? {
+            if refused.is_some() {
+                self.skip()?;
+                continue;
+            }
+            match item(self)? {
+                Ok(value) => out.push(value),
+                Err(e) => refused = Some(e),
+            }
+        }
+        Ok(refused.map_or(Ok(out), Err))
+    }
+
+    /// Skips one value, validating it as [`Value::parse`] would.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is malformed.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        // Scalars skip without allocating; containers are rare here.
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Skips one value by bracket depth alone, without validating it:
+    /// for a span that another reader will validate. Strings are skipped
+    /// whole, escapes included; a scalar runs to the next delimiter.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the value is empty or unterminated.
+    pub fn skip_unchecked(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.skip_unchecked_string(),
+            Some(b'{' | b'[') => {
+                let mut depth = 0usize;
+                loop {
+                    match self.peek() {
+                        Some(b'{' | b'[') => {
+                            depth += 1;
+                            self.pos += 1;
+                        }
+                        Some(b'}' | b']') => {
+                            depth -= 1;
+                            self.pos += 1;
+                            if depth == 0 {
+                                return Ok(());
+                            }
+                        }
+                        Some(b'"') => self.skip_unchecked_string()?,
+                        Some(_) => self.pos += 1,
+                        None => return Err(self.err("unterminated value")),
+                    }
+                }
+            }
+            _ => {
+                let start = self.pos;
+                while !matches!(
+                    self.peek(),
+                    None | Some(b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r')
+                ) {
+                    self.pos += 1;
+                }
+                if self.pos == start {
+                    return Err(self.err("expected a JSON value"));
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn skip_unchecked_string(&mut self) -> Result<(), JsonError> {
+        self.pos += 1;
+        loop {
+            match self.peek() {
+                Some(b'\\') => self.pos += 2,
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(_) => self.pos += 1,
+                None => return Err(self.err("unterminated string")),
+            }
+        }
+    }
+
+    fn open(&mut self, open: u8, close: u8) -> Result<Option<Members>, JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(open) {
+            Ok(Some(self.members(close)))
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Consumes the opening byte of a container known to be next.
+    fn members(&mut self, close: u8) -> Members {
+        self.pos += 1;
+        self.skip_ws();
+        Members { first: true, close }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError::new(format!("{message} at byte {}", self.pos))
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -244,7 +565,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -256,30 +577,46 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
         if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
     }
 
     fn value(&mut self) -> Result<Value, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = self.members(b']');
+                let mut values = Vec::new();
+                while items.next_item(self)? {
+                    values.push(self.value()?);
+                }
+                Ok(Value::Array(values))
+            }
+            Some(b'{') => {
+                let mut members = self.members(b'}');
+                let mut fields = Vec::new();
+                while let Some(key) = members.next_key(self)? {
+                    let value = self.value()?;
+                    fields.push((key.into_owned(), value));
+                }
+                Ok(Value::Object(fields))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -291,125 +628,200 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = self
-            .bytes
+            .text
             .get(start..self.pos)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| self.err("invalid number bytes"))?;
+        // Below 10^15 every integer is exact in f64, so summing digits
+        // yields the bits `parse` would.
+        if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
+            let n = text.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+            return Ok(n as f64);
+        }
         text.parse::<f64>()
-            .map(Value::Number)
             .map_err(|_| JsonError::new(format!("invalid number `{text}` at byte {start}")))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        // Set once an escape is met; until then the string is a slice.
+        let mut owned: Option<String> = None;
         loop {
+            // One run of plain bytes: `"` and `\` are ASCII, so the run
+            // ends on a character boundary.
+            let start = self.pos;
+            let rest = self.text.as_bytes().get(start..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            if b == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .as_bytes()
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    self.pos += 4;
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?,
+                    );
                 }
-                _ => {
-                    // Re-scan the full UTF-8 character starting here.
-                    self.pos -= 1;
-                    let tail = self
-                        .bytes
-                        .get(self.pos..)
-                        .ok_or_else(|| self.err("truncated input"))?;
-                    let rest = std::str::from_utf8(tail).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("truncated input"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                _ => return Err(self.err("unknown escape")),
+            }
+        }
+    }
+}
+
+/// A `usize` node index when `n` is integral and in `0..=u32::MAX`.
+fn index_from_f64(n: f64) -> Option<usize> {
+    (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as usize)
+}
+
+/// A graph document read but not yet built: an edge list that passed
+/// [`SignedDigraph::from_edge_vec`]'s checks and the node count it
+/// spans. A decoder can compare that count with the rest of its
+/// document before the CSR arrays are allocated.
+#[derive(Debug, Clone)]
+pub struct GraphDoc {
+    node_count: usize,
+    edges: Vec<Edge>,
+}
+
+impl GraphDoc {
+    /// Reads one graph value (see the [module docs](crate::json) for the
+    /// schema), with the first-match rule of [`Value::get`] for
+    /// duplicated keys; other keys are validated and ignored.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is malformed JSON. The inner error is a schema
+    /// violation or an invalid edge, reported as by [`Value`] decoding:
+    /// a missing or mistyped `nodes`, then `edges`, then the first bad
+    /// edge. The value was read to its end either way.
+    pub fn read(reader: &mut Reader<'_>) -> Result<Result<GraphDoc, JsonError>, JsonError> {
+        let mut nodes = None;
+        let mut edges = None;
+        if let Some(mut fields) = reader.read_object()? {
+            while let Some(key) = fields.next_key(reader)? {
+                match &*key {
+                    "nodes" if nodes.is_none() => nodes = Some(reader.read_index()?),
+                    "edges" if edges.is_none() => {
+                        edges = Some(reader.read_vec("edges", read_edge)?)
+                    }
+                    _ => reader.skip()?,
                 }
             }
         }
+        Ok(GraphDoc::check(nodes, edges))
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
+    /// The schema checks of a graph's fields, in the `Value` decoding's
+    /// order.
+    fn check(
+        nodes: Option<Option<usize>>,
+        edges: Option<Result<Vec<Edge>, JsonError>>,
+    ) -> Result<GraphDoc, JsonError> {
+        let nodes = nodes
+            .ok_or_else(|| JsonError::missing("nodes"))?
+            .ok_or_else(|| JsonError::new("`nodes` must be a non-negative integer"))?;
+        let edges = edges.ok_or_else(|| JsonError::missing("edges"))??;
+        let node_count = SignedDigraph::checked_node_count(nodes, &edges)
+            .map_err(|e| JsonError::new(format!("invalid graph: {e}")))?;
+        Ok(GraphDoc { node_count, edges })
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+    /// Nodes of the graph it builds: `nodes`, or one past the largest
+    /// endpoint when that is larger.
+    pub fn node_count(&self) -> usize {
+        self.node_count
     }
+
+    /// Builds the graph.
+    pub fn build(self) -> SignedDigraph {
+        SignedDigraph::from_validated_edges(self.node_count, self.edges)
+    }
+}
+
+/// One `[src, dst, sign, weight]` edge. Its length is checked before
+/// its parts, as the `Value` decoding did.
+fn read_edge(reader: &mut Reader<'_>) -> Result<Result<Edge, JsonError>, JsonError> {
+    let shape = || JsonError::new("each edge must be [src, dst, sign, weight]");
+    let Some(mut items) = reader.read_array()? else {
+        return Ok(Err(shape()));
+    };
+    let mut parts = [None; 4];
+    let mut len = 0usize;
+    while items.next_item(reader)? {
+        match parts.get_mut(len) {
+            Some(part) => *part = reader.read_number()?,
+            None => reader.skip()?,
+        }
+        len += 1;
+    }
+    Ok(if len == 4 {
+        edge_from_parts(parts)
+    } else {
+        Err(shape())
+    })
+}
+
+/// The edge four numbers (`None` where the item was not a number) make,
+/// checked in item order.
+fn edge_from_parts([src, dst, sign, weight]: [Option<f64>; 4]) -> Result<Edge, JsonError> {
+    let src = src
+        .and_then(index_from_f64)
+        .ok_or_else(|| JsonError::new("edge src must be a node id"))?;
+    let dst = dst
+        .and_then(index_from_f64)
+        .ok_or_else(|| JsonError::new("edge dst must be a node id"))?;
+    let sign = if sign == Some(1.0) {
+        Sign::Positive
+    } else if sign == Some(-1.0) {
+        Sign::Negative
+    } else {
+        return Err(JsonError::new("edge sign must be 1 or -1"));
+    };
+    let weight = weight.ok_or_else(|| JsonError::new("edge weight must be a number"))?;
+    Ok(Edge::new(
+        NodeId::from_index(src),
+        NodeId::from_index(dst),
+        sign,
+        weight,
+    ))
 }
 
 impl SignedDigraph {
@@ -433,71 +845,23 @@ impl SignedDigraph {
         ])
     }
 
-    /// Decodes a graph from a JSON [`Value`] produced by
-    /// [`to_json_value`](SignedDigraph::to_json_value).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when required fields are missing or
-    /// mistyped, or when an edge references a node outside `0..nodes`.
-    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let nodes = value
-            .require("nodes")?
-            .as_usize()
-            .ok_or_else(|| JsonError::new("`nodes` must be a non-negative integer"))?;
-        let raw_edges = value
-            .require("edges")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("`edges` must be an array"))?;
-        let mut edges = Vec::with_capacity(raw_edges.len());
-        for e in raw_edges {
-            let parts = e
-                .as_array()
-                .ok_or_else(|| JsonError::new("each edge must be [src, dst, sign, weight]"))?;
-            let [src_v, dst_v, sign_v, weight_v] = parts else {
-                return Err(JsonError::new("each edge must be [src, dst, sign, weight]"));
-            };
-            let src = src_v
-                .as_usize()
-                .ok_or_else(|| JsonError::new("edge src must be a node id"))?;
-            let dst = dst_v
-                .as_usize()
-                .ok_or_else(|| JsonError::new("edge dst must be a node id"))?;
-            let sign = if sign_v.as_f64() == Some(1.0) {
-                Sign::Positive
-            } else if sign_v.as_f64() == Some(-1.0) {
-                Sign::Negative
-            } else {
-                return Err(JsonError::new("edge sign must be 1 or -1"));
-            };
-            let weight = weight_v
-                .as_f64()
-                .ok_or_else(|| JsonError::new("edge weight must be a number"))?;
-            edges.push(Edge::new(
-                NodeId::from_index(src),
-                NodeId::from_index(dst),
-                sign,
-                weight,
-            ));
-        }
-        SignedDigraph::from_edges(nodes, edges)
-            .map_err(|e| JsonError::new(format!("invalid graph: {e}")))
-    }
-
     /// Encodes the graph as a compact JSON string.
     pub fn to_json_string(&self) -> String {
         self.to_json_value().to_json()
     }
 
-    /// Decodes a graph from a JSON string.
+    /// Decodes a graph from a JSON string in one pass, straight into an
+    /// edge list and then the CSR arrays (see [`GraphDoc::read`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed JSON or a structurally
-    /// invalid graph document (see
-    /// [`from_json_value`](SignedDigraph::from_json_value)).
+    /// Returns a [`JsonError`] on malformed JSON or trailing input, then
+    /// on a structurally invalid graph document.
     pub fn from_json_str(input: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Value::parse(input)?)
+        let mut reader = Reader::new(input);
+        let doc = GraphDoc::read(&mut reader)?;
+        reader.finish()?;
+        Ok(doc?.build())
     }
 }
 
@@ -567,6 +931,113 @@ mod tests {
     fn parse_rejects_garbage() {
         for text in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"\\q\""] {
             assert!(Value::parse(text).is_err(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn integer_fast_path_equals_the_float_parse_bit_for_bit() {
+        // Every length from 1 to 16 digits (16 takes `parse`), with and
+        // without leading zeros, and the largest values of each length.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 1..=16usize {
+            for case in 0..200 {
+                let digits: String = (0..len)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        match case {
+                            0 => '9',
+                            1 if i + 1 < len => '0',
+                            _ => char::from(b'0' + (state >> 60) as u8 % 10),
+                        }
+                    })
+                    .collect();
+                let lexed = Value::parse(&digits).unwrap().as_f64().unwrap();
+                let parsed: f64 = digits.parse().unwrap();
+                assert_eq!(lexed.to_bits(), parsed.to_bits(), "{digits}");
+            }
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_text_and_escapes_beside_plain_runs() {
+        for text in [
+            "plain",
+            "",
+            "héllo wörld ✓ 𝄞 日本語",
+            "a\"b\\c\nd\te\u{1}f",
+            "\u{8}\u{c}/ mixed é\"\\ 𝄞\n",
+        ] {
+            let encoded = Value::String(text.to_owned()).to_json();
+            assert_eq!(Value::parse(&encoded).unwrap().as_str(), Some(text));
+        }
+        let escaped = r#""ab\u00e9cd\/ef\"gh\u0041""#;
+        assert_eq!(
+            Value::parse(escaped).unwrap().as_str(),
+            Some("abécd/ef\"ghA")
+        );
+        // A string without escapes is borrowed from the input.
+        let mut reader = Reader::new(r#""日本" "a\nb""#);
+        assert!(matches!(
+            reader.read_string(),
+            Ok(Some(Cow::Borrowed("日本")))
+        ));
+        assert!(matches!(reader.read_string(), Ok(Some(Cow::Owned(s))) if s == "a\nb"));
+    }
+
+    #[test]
+    fn infinities_round_trip_as_overflowing_literals() {
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Value::Number(x).to_json();
+            assert_eq!(Value::parse(&text).unwrap().as_f64(), Some(x), "{text}");
+        }
+    }
+
+    #[test]
+    fn reader_skips_mistyped_values_and_reports_malformed_ones() {
+        let mut reader = Reader::new(r#"["x", {"a": [1, null]}, 3, true] "#);
+        let mut items = reader.read_array().unwrap().unwrap();
+        let mut numbers = Vec::new();
+        while items.next_item(&mut reader).unwrap() {
+            numbers.push(reader.read_number().unwrap());
+        }
+        assert_eq!(numbers, [None, None, Some(3.0), None]);
+        reader.finish().unwrap();
+
+        for text in ["[1,]", "[nul]", r#"["\q"]"#, r#"{"a" 1}"#, "[1 2]"] {
+            let mut reader = Reader::new(text);
+            assert!(reader.read_number().is_err(), "{text}");
+            assert_eq!(
+                Reader::new(text).skip().unwrap_err(),
+                Value::parse(text).unwrap_err(),
+                "{text}"
+            );
+        }
+        let mut reader = Reader::new("{} x");
+        reader.skip().unwrap();
+        assert!(reader.finish().is_err());
+    }
+
+    #[test]
+    fn unchecked_skip_finds_the_span_a_parse_would_read() {
+        for (text, span) in [
+            (
+                r#" {"a": "}]\"", "b": [1, {"c": []}]} , 7"#,
+                r#"{"a": "}]\"", "b": [1, {"c": []}]}"#,
+            ),
+            ("7 ,", "7"),
+            (r#""s\\" ]"#, r#""s\\""#),
+            // Malformed inside but balanced: the span still ends at the
+            // matching bracket, for another reader to refuse.
+            (r#"{"x": nul, "y": [1,]}, 2"#, r#"{"x": nul, "y": [1,]}"#),
+        ] {
+            let mut reader = Reader::new(text);
+            reader.skip_unchecked().unwrap();
+            assert_eq!(text[..reader.offset()].trim_start(), span);
+        }
+        for text in [r#"{"a": [1}"#, r#""open"#, ","] {
+            assert!(Reader::new(text).skip_unchecked().is_err(), "{text}");
         }
     }
 

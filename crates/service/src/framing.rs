@@ -4,17 +4,23 @@
 //! top-level fields the router needs — `id`, `type`, and the routing
 //! keys (`fingerprint`, `snapshot`, `config`, `detector`, `seeds`) —
 //! **without materializing a JSON value**. The io thread routes on
-//! those spans (rendezvous-hashing the raw snapshot bytes, answering
-//! by-fingerprint cache hits inline) and only falls back to the full
-//! [`crate::protocol::parse_request`] parser when a request actually
-//! needs its payload decoded, or when the line is in any way unusual.
+//! those spans: it rendezvous-hashes the raw snapshot bytes and hands
+//! the line to the shard worker, which decodes the spans
+//! ([`crate::protocol::decode_framed_rid`]), or answers a
+//! by-fingerprint cache hit inline.
+//!
+//! The scanner walks the line with the one JSON lexer,
+//! [`isomit_graph::json::Reader`], and validates every value it skips
+//! or returns, except the `snapshot` span: that is skipped by bracket
+//! depth alone, and the worker's decoder validates it. So a line the
+//! scanner accepts is valid JSON wherever the full parser would look,
+//! apart from the snapshot.
 //!
 //! The scanner is deliberately strict: *any* anomaly — malformed JSON,
-//! a non-integer id, an escaped key or `type` string, a duplicated
-//! tracked key — yields `None`, and the caller takes the slow path, whose
-//! structured errors are the protocol's source of truth. The scanner
-//! can therefore never change what a client observes; it only decides
-//! how cheaply a well-formed line is served.
+//! an id that is not digits-only or exceeds 2^53, an escaped key or
+//! `type` string, a duplicated tracked key — yields `None`, and the
+//! caller takes the slow path, [`crate::protocol::parse_request`],
+//! whose structured errors are the protocol's source of truth.
 //!
 //! For canonical clients (ours) the snapshot span is exactly the bytes
 //! of `InfectedNetwork::to_json_string`, so FNV-1a over the span equals
@@ -22,14 +28,23 @@
 //! request's one key: the router, the artifact cache and the result
 //! cache agree on snapshot identity without encoding anything.
 
+use isomit_graph::json::Reader;
+use std::borrow::Cow;
+
+/// The largest id the scanner passes on: above 2^53 the full parser
+/// rounds the id to an `f64`, so it decides.
+const MAX_EXACT_ID: u64 = 1 << 53;
+
 /// Byte spans of the routed top-level fields of one request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<'a> {
-    /// The correlation id (digits-only; `12.0` falls back).
+    /// The correlation id (digits-only and at most 2^53; `12.0` falls
+    /// back).
     pub id: u64,
     /// The raw `type` label, e.g. `"rid"`.
     pub verb: &'a str,
-    /// Span of the `snapshot` value, when present.
+    /// Span of the `snapshot` value, when present. The only span the
+    /// scanner does not validate.
     pub snapshot: Option<&'a str>,
     /// Span of the `fingerprint` value *without quotes*, when present
     /// and a simple string.
@@ -45,12 +60,8 @@ pub struct Frame<'a> {
 /// Scans `line` for the routed fields. Returns `None` on any anomaly;
 /// the caller must then run the full parser for structured errors.
 pub fn scan(line: &str) -> Option<Frame<'_>> {
-    let bytes = line.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    if bytes.get(pos) != Some(&b'{') {
-        return None;
-    }
-    pos += 1;
+    let mut reader = Reader::new(line);
+    let mut fields = reader.read_object().ok()??;
 
     let mut id: Option<u64> = None;
     let mut verb: Option<&str> = None;
@@ -60,28 +71,19 @@ pub fn scan(line: &str) -> Option<Frame<'_>> {
     let mut detector: Option<&str> = None;
     let mut seeds: Option<&str> = None;
 
-    pos = skip_ws(bytes, pos);
-    if bytes.get(pos) == Some(&b'}') {
-        // Empty object: syntactically fine, but no id — slow path.
-        return None;
-    }
-    loop {
-        pos = skip_ws(bytes, pos);
-        let (key_start, key_end) = scan_string(bytes, pos)?;
-        let key = line.get(key_start..key_end)?;
+    while let Some(key) = fields.next_key(&mut reader).ok()? {
         // The full parser decodes escaped keys (`snap\u0073hot` is
         // `snapshot`), so their raw bytes could name the wrong field.
-        if key.contains('\\') {
+        let Cow::Borrowed(key) = key else {
             return None;
+        };
+        let start = reader.offset();
+        if key == "snapshot" {
+            reader.skip_unchecked().ok()?;
+        } else {
+            reader.skip().ok()?;
         }
-        pos = skip_ws(bytes, key_end + 1);
-        if bytes.get(pos) != Some(&b':') {
-            return None;
-        }
-        pos = skip_ws(bytes, pos + 1);
-        let value_start = pos;
-        pos = skip_value(bytes, pos)?;
-        let span = line.get(value_start..pos)?.trim_end();
+        let span = line.get(start..reader.offset())?;
         match key {
             "id" => set_once(&mut id, parse_digits(span)?)?,
             "type" => set_once(&mut verb, unquote_simple(span)?)?,
@@ -92,22 +94,8 @@ pub fn scan(line: &str) -> Option<Frame<'_>> {
             "seeds" => set_once(&mut seeds, span)?,
             _ => {}
         }
-        pos = skip_ws(bytes, pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                break;
-            }
-            _ => return None,
-        }
     }
-    if line
-        .get(pos..)
-        .is_none_or(|rest| !rest.trim_end().is_empty())
-    {
-        return None;
-    }
+    reader.finish().ok()?;
     Some(Frame {
         id: id?,
         verb: verb?,
@@ -129,13 +117,13 @@ fn set_once<T>(slot: &mut Option<T>, value: T) -> Option<()> {
     Some(())
 }
 
-/// Digits-only u64 (rejects signs, exponents, leading `+`, and floats,
-/// all of which the full parser may still accept).
+/// Digits-only u64 up to 2^53 (rejects signs, exponents and floats,
+/// which the full parser may still accept, and ids it would round).
 fn parse_digits(span: &str) -> Option<u64> {
     if span.is_empty() || !span.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    span.parse().ok()
+    span.parse().ok().filter(|&id| id <= MAX_EXACT_ID)
 }
 
 /// Strips the quotes off a simple string span — one with no escapes.
@@ -145,74 +133,6 @@ fn unquote_simple(span: &str) -> Option<&str> {
         return None;
     }
     Some(inner)
-}
-
-fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
-    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// With `bytes[pos] == b'"'`, returns the content range (exclusive of
-/// quotes); the closing quote sits at the returned end index.
-fn scan_string(bytes: &[u8], pos: usize) -> Option<(usize, usize)> {
-    if bytes.get(pos) != Some(&b'"') {
-        return None;
-    }
-    let start = pos + 1;
-    let mut i = start;
-    loop {
-        match bytes.get(i)? {
-            b'\\' => i += 2,
-            b'"' => return Some((start, i)),
-            _ => i += 1,
-        }
-    }
-}
-
-/// Skips one JSON value starting at `pos`, returning the index just
-/// past it. Containers are depth-counted with string awareness;
-/// scalars run to the next delimiter.
-fn skip_value(bytes: &[u8], pos: usize) -> Option<usize> {
-    match bytes.get(pos)? {
-        b'"' => scan_string(bytes, pos).map(|(_, end)| end + 1),
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut i = pos;
-            loop {
-                match bytes.get(i)? {
-                    b'{' | b'[' => {
-                        depth += 1;
-                        i += 1;
-                    }
-                    b'}' | b']' => {
-                        depth -= 1;
-                        i += 1;
-                        if depth == 0 {
-                            return Some(i);
-                        }
-                    }
-                    b'"' => i = scan_string(bytes, i)?.1 + 1,
-                    _ => i += 1,
-                }
-            }
-        }
-        _ => {
-            // Number / true / false / null: run to a structural delimiter.
-            let mut i = pos;
-            while let Some(b) = bytes.get(i) {
-                if matches!(b, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r') {
-                    break;
-                }
-                i += 1;
-            }
-            if i == pos {
-                return None;
-            }
-            Some(i)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,9 +208,35 @@ mod tests {
             r#"{"id": 1, "type": "rid", "snap\u0073hot": {}, "snapshot": {}}"#, // escaped key
             r#"{"id": 1, "type": "health"} trailing"#, // trailing junk
             r#"{"id": 1, "type": "rid", "fingerprint": 42}"#, // numeric fp
+            r#"{"id": 9007199254740993, "type": "health"}"#, // id above 2^53
+            r#"{"id": 18446744073709551615, "type": "health"}"#, // u64::MAX id
+            r#"{"id": 1, "type": "health", "x": nul}"#, // malformed literal
+            r#"{"id": 1, "type": "health", "x": [1,]}"#, // trailing comma
+            r#"{"id": 1, "type": "health", "x": "\q"}"#, // unknown escape
+            r#"{"id": 1, "type": "rid", "config": {"a" 1}}"#, // malformed config
+            "{\"id\": 1\u{b}, \"type\": \"health\"}",  // not JSON whitespace
         ] {
             assert_eq!(scan(line), None, "line: {line}");
         }
+    }
+
+    #[test]
+    fn ids_up_to_two_to_the_53_are_exact() {
+        let line = r#"{"id": 9007199254740992, "type": "health"}"#;
+        assert_eq!(scan(line).map(|f| f.id), Some(1 << 53));
+    }
+
+    #[test]
+    fn the_snapshot_span_is_left_to_the_worker() {
+        // Malformed inside, but bracket-balanced: the scanner passes it
+        // on, and the worker's decoder refuses it.
+        let line = r#"{"id": 2, "type": "rid", "snapshot": {"graph": [1,], "x": nul}}"#;
+        let frame = scan(line).expect("scans");
+        assert_eq!(frame.snapshot, Some(r#"{"graph": [1,], "x": nul}"#));
+        assert_eq!(
+            scan(r#"{"id": 2, "type": "rid", "snapshot": {"a": [}"#),
+            None
+        );
     }
 
     #[test]

@@ -391,7 +391,10 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, WireError)> {
                     let snapshot_value = doc
                         .require("snapshot")
                         .map_err(|e| bad(Some(id), e.to_string()))?;
-                    let snapshot = InfectedNetwork::from_json_value(snapshot_value)
+                    // Lines the scanner refuses come here; framed ones
+                    // are decoded from their spans by
+                    // `decode_framed_rid`. Both paths run one decoder.
+                    let snapshot = InfectedNetwork::from_json_str(&snapshot_value.to_json())
                         .map_err(|e| bad(Some(id), format!("invalid snapshot: {e}")))?;
                     RequestBody::Rid {
                         snapshot: Box::new(snapshot),
@@ -459,6 +462,50 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, WireError)> {
             }
         };
     Ok(Request { id, body })
+}
+
+/// Decodes a full-form `rid` line from the spans
+/// [`crate::framing::scan`] found in it: the snapshot straight to CSR,
+/// the config and detector as [`parse_request`] reads them. The line is
+/// not scanned again. On any decode failure this returns what
+/// [`parse_request`] returns for the whole line, so the full parser
+/// stays the source of truth for error replies.
+///
+/// # Errors
+///
+/// The error of [`parse_request`] on the line.
+pub fn decode_framed_rid(
+    line: &str,
+    snapshot: &str,
+    config: Option<&str>,
+    detector: Option<&str>,
+) -> Result<RequestBody, (Option<u64>, WireError)> {
+    match rid_from_spans(snapshot, config, detector) {
+        Some(body) => Ok(body),
+        None => parse_request(line).map(|request| request.body),
+    }
+}
+
+/// The `rid` body the spans decode to, or `None` on any failure.
+pub(crate) fn rid_from_spans(
+    snapshot: &str,
+    config: Option<&str>,
+    detector: Option<&str>,
+) -> Option<RequestBody> {
+    let config = match config {
+        None => None,
+        Some(span) => Some(RidConfig::from_json_value(&Value::parse(span).ok()?).ok()?),
+    };
+    let detector = match detector {
+        None => None,
+        Some(span) => Some(DetectorKind::from_label(Value::parse(span).ok()?.as_str()?).ok()?),
+    };
+    let snapshot = InfectedNetwork::from_json_str(snapshot).ok()?;
+    Some(RequestBody::Rid {
+        snapshot: Box::new(snapshot),
+        config,
+        detector,
+    })
 }
 
 /// Encodes a success response line (no trailing newline).
@@ -757,6 +804,108 @@ mod tests {
             assert_eq!(err.kind, ErrorKind::BadRequest, "line: {line}");
             assert!(err.message.contains("fingerprint"), "{}", err.message);
         }
+    }
+
+    /// `line` after one to three random one-character edits drawn
+    /// from JSON structure, number and literal characters.
+    fn mutate(line: &str, rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        const ALPHABET: &[char] = &[
+            '{', '}', '[', ']', ',', ':', '"', ' ', '\\', '0', '1', '3', '9', '-', '.', 'e', 'n',
+            'u', 'l', 't', 'r', 'x', '+', '?',
+        ];
+        let mut chars: Vec<char> = line.chars().collect();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let at = rng.gen_range(0..=chars.len());
+            let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            match rng.gen_range(0..3usize) {
+                0 if at < chars.len() => chars[at] = c,
+                1 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => chars.insert(at, c),
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn framed_rid_lines_decode_exactly_as_the_full_parser_reads_them() {
+        use crate::framing::scan;
+        use rand::SeedableRng;
+        let full = |id: u64, config, detector| {
+            encode_request(
+                id,
+                &RequestBody::Rid {
+                    snapshot: Box::new(snapshot()),
+                    config,
+                    detector,
+                },
+            )
+        };
+        let plain = full(7, None, None);
+        let near_limit = plain.replacen("\"id\":7", "\"id\":9007199254740992", 1);
+        let bases = [
+            plain.clone(),
+            full(8, Some(RidConfig::default()), None),
+            full(9, None, Some(DetectorKind::RidTree)),
+            full(
+                10,
+                Some(RidConfig::default()),
+                Some(DetectorKind::JordanCenter),
+            ),
+            near_limit.clone(),
+            near_limit.replacen("992", "991", 1),
+            plain.replacen("\"type\"", "\"x\":[1,{\"y\":null},\"s\"],\"type\"", 1),
+            plain.replacen('}', r#"},"extra":{"graph":0}"#, 1),
+            r#"{"id":11,"type":"rid","fingerprint":"42","note":[true,-1.5e3]}"#.to_owned(),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        let (mut framed, mut decoded) = (0usize, 0usize);
+        for case in 0..20_000 {
+            let line = mutate(&bases[case % bases.len()], &mut rng);
+            let Some(frame) = scan(&line).filter(|f| f.verb == "rid") else {
+                continue;
+            };
+            framed += 1;
+            let parsed = parse_request(&line);
+            match (frame.fingerprint, frame.snapshot) {
+                (None, Some(span)) => match rid_from_spans(span, frame.config, frame.detector) {
+                    Some(body) => {
+                        decoded += 1;
+                        assert_eq!(parsed, Ok(Request { id: frame.id, body }), "{line}");
+                    }
+                    None => {
+                        let (id, error) = parsed.expect_err(&line);
+                        let (fallback_id, fallback) =
+                            decode_framed_rid(&line, span, frame.config, frame.detector)
+                                .expect_err(&line);
+                        assert_eq!(
+                            error_line(fallback_id, &fallback),
+                            error_line(id, &error),
+                            "{line}"
+                        );
+                    }
+                },
+                // What the by-fingerprint fast path answers from the
+                // cache: the full parser must accept it too.
+                (Some(fp), None) if frame.config.is_none() && frame.detector.is_none() => {
+                    if let Ok(fingerprint) = fp.parse::<u64>() {
+                        let body = RequestBody::RidByFingerprint {
+                            fingerprint,
+                            config: None,
+                            detector: None,
+                        };
+                        assert_eq!(parsed, Ok(Request { id: frame.id, body }), "{line}");
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            decoded > 500 && framed > decoded,
+            "{framed} framed, {decoded} decoded"
+        );
     }
 
     #[test]

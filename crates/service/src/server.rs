@@ -5,13 +5,19 @@
 //!
 //! * **the io thread** owns the nonblocking listener and every
 //!   connection. It polls the listener and sweeps its connections for
-//!   readable data, frames complete lines with the zero-copy
+//!   readable data, splits complete lines (resuming each newline search
+//!   where the last sweep stopped), frames them with the zero-copy
 //!   [`crate::framing`] scanner, and routes. `health` / `stats` /
 //!   `shutdown` are answered inline (they must stay responsive under
-//!   load), by-fingerprint `rid` requests that hit a shard's
+//!   load), and by-fingerprint `rid` requests that hit a shard's
 //!   serialized-result cache are answered inline without materializing
-//!   any JSON, and everything else is parsed and enqueued on its owning
-//!   shard. There is no separate accept thread to poke at shutdown.
+//!   any JSON. A framed full-form `rid` is only hashed and routed: its
+//!   owned line and span offsets go to the owning shard, whose worker
+//!   decodes the snapshot. Everything else — lines the scanner refuses,
+//!   the other verbs, by-fingerprint misses — is parsed by the full
+//!   parser and enqueued on its owning shard. Every job's clock starts
+//!   when its line is complete, before any decode. There is no
+//!   separate accept thread to poke at shutdown.
 //!   When a full sweep makes no progress the thread backs off (50 µs
 //!   doubling to 500 µs) instead of spinning — the workspace forbids
 //!   `unsafe`, so there is no `poll(2)`/`epoll` registration; readiness
@@ -20,7 +26,8 @@
 //!   [`RidEngine`] sibling (shared network, private artifact cache,
 //!   private registry), a bounded admission queue, a serialized-result
 //!   cache, and exactly one worker thread. A `rid` request's snapshot
-//!   is fingerprinted once, on the io thread; that one key picks the
+//!   is fingerprinted once, on the io thread (over the raw span of a
+//!   framed line, so no decode is needed); that one key picks the
 //!   shard (rendezvous hashing), keys the shard's artifact cache and
 //!   keys its result cache. One snapshot's traffic therefore always
 //!   lands on the same shard — its caches stay hot and shards never
@@ -47,18 +54,18 @@ use crate::engine::{EngineStats, RidEngine};
 use crate::fingerprint::{fingerprint_bytes, snapshot_fingerprint};
 use crate::framing::{self, Frame};
 use crate::protocol::{
-    error_line, ok_line, ok_line_raw, parse_request, ErrorKind, Request, RequestBody, WireError,
-    PROTOCOL_VERSION,
+    decode_framed_rid, error_line, ok_line, ok_line_raw, parse_request, ErrorKind, Request,
+    RequestBody, WireError, PROTOCOL_VERSION,
 };
 use crate::queue::{BoundedQueue, PushError, QueueMetrics};
 use isomit_core::{IncrementalRid, RidConfig, RidDelta, RidError};
-use isomit_detectors::DetectorKind;
-use isomit_diffusion::{InfectedNetwork, SeedSet};
+use isomit_diffusion::SeedSet;
 use isomit_graph::json::Value;
 use isomit_telemetry::{names, Counter, Gauge, Histogram, Registry, Stopwatch};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -159,9 +166,7 @@ struct Job {
 
 enum Work {
     Rid {
-        snapshot: Box<InfectedNetwork>,
-        config: Option<RidConfig>,
-        detector: Option<DetectorKind>,
+        input: RidInput,
         /// The snapshot fingerprint the io thread routed on; it also
         /// keys the shard's artifact and result caches.
         fingerprint: u64,
@@ -188,6 +193,45 @@ enum Work {
     /// io-side deadline expiry). Enqueued with `force_push`: cleanup is
     /// never shed.
     WatchCleanup,
+}
+
+/// What a `rid` job carries for the worker to detect on.
+enum RidInput {
+    /// A line the scanner framed, with its spans: the worker decodes
+    /// them, so the io thread never decodes a snapshot.
+    Framed {
+        line: String,
+        snapshot: Range<usize>,
+        config: Option<Range<usize>>,
+        detector: Option<Range<usize>>,
+    },
+    /// A [`RequestBody::Rid`] the full parser decoded on the io thread,
+    /// from a line the scanner refused.
+    Parsed(RequestBody),
+}
+
+impl RidInput {
+    /// The request body, or the full parser's error for the line.
+    fn decode(self) -> Result<RequestBody, (Option<u64>, WireError)> {
+        match self {
+            RidInput::Parsed(body) => Ok(body),
+            RidInput::Framed {
+                line,
+                snapshot,
+                config,
+                detector,
+            } => {
+                let span = |range: Range<usize>| line.get(range).unwrap_or_default();
+                decode_framed_rid(&line, span(snapshot), config.map(span), detector.map(span))
+            }
+        }
+    }
+}
+
+/// Byte range of `span` within `line`, which it borrows from.
+fn range_in(line: &str, span: &str) -> Range<usize> {
+    let start = (span.as_ptr() as usize).saturating_sub(line.as_ptr() as usize);
+    start..start + span.len()
 }
 
 /// One serving shard: a sibling engine (shared network, private
@@ -460,9 +504,41 @@ struct WatchPin {
 /// Per-connection io-thread state.
 struct ConnState {
     conn: Arc<Conn>,
-    /// Bytes read but not yet framed into complete lines.
-    buf: Vec<u8>,
+    lines: LineBuffer,
     watch: Option<WatchPin>,
+}
+
+/// A connection's bytes read but not yet framed into complete lines.
+#[derive(Debug, Default)]
+struct LineBuffer {
+    bytes: Vec<u8>,
+    /// Length of the prefix of `bytes` already searched for a newline
+    /// without finding one, so a line arriving over many reads is
+    /// searched once.
+    searched: usize,
+}
+
+impl LineBuffer {
+    /// The next complete line at or after `*cursor`, without its
+    /// newline; moves the cursor past it.
+    fn next_line(&mut self, cursor: &mut usize) -> Option<Range<usize>> {
+        let from = (*cursor).max(self.searched);
+        let rest = self.bytes.get(from..).unwrap_or_default();
+        let Some(newline) = rest.iter().position(|&b| b == b'\n') else {
+            self.searched = self.bytes.len();
+            return None;
+        };
+        let line = *cursor..from + newline;
+        *cursor = from + newline + 1;
+        Some(line)
+    }
+
+    /// Drops the bytes before `cursor`, in place: a line still arriving
+    /// is not copied again on every sweep.
+    fn consume(&mut self, cursor: usize) {
+        self.bytes.drain(..cursor);
+        self.searched = self.searched.saturating_sub(cursor);
+    }
 }
 
 enum Pump {
@@ -501,7 +577,7 @@ fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                                 stream,
                                 write_lock: Mutex::new(()),
                             }),
-                            buf: Vec::new(),
+                            lines: LineBuffer::default(),
                             watch: None,
                         });
                     }
@@ -562,7 +638,8 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
         Ok(0) => eof = true,
         Ok(n) => {
             state
-                .buf
+                .lines
+                .bytes
                 .extend_from_slice(chunk.get(..n).unwrap_or_default());
             read_any = true;
         }
@@ -571,17 +648,18 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
         Err(_) => eof = true,
     }
 
-    let mut buf = std::mem::take(&mut state.buf);
     let mut cursor = 0usize;
     let mut processed = 0usize;
     let mut alive = true;
     while processed < MAX_LINES_PER_SWEEP {
-        let rest = buf.get(cursor..).unwrap_or_default();
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+        let Some(range) = state.lines.next_line(&mut cursor) else {
             break;
         };
-        let raw = rest.get(..nl).expect("position is within the slice");
-        cursor += nl + 1;
+        // The line is complete: its request's clock starts here, before
+        // any decode.
+        // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
+        let received = Instant::now();
+        let raw = state.lines.bytes.get(range).unwrap_or_default();
         let Ok(text) = std::str::from_utf8(raw) else {
             // Matches the old line-reader: undecodable input drops the
             // connection rather than guessing at a reply.
@@ -593,15 +671,12 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
             continue;
         }
         processed += 1;
-        if !handle_line(line, &state.conn, &mut state.watch, shared) {
+        if !handle_line(line, received, &state.conn, &mut state.watch, shared) {
             alive = false;
             break;
         }
     }
-    // Compact in place: a line still arriving is not copied again on
-    // every sweep.
-    buf.drain(..cursor);
-    state.buf = buf;
+    state.lines.consume(cursor);
 
     if !alive {
         return Pump::Closed;
@@ -620,40 +695,68 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
     }
 }
 
-/// Serves one framed request line; returns `false` when the client is
-/// gone.
+/// Serves one request line; returns `false` when the client is gone.
 fn handle_line(
     line: &str,
+    received: Instant,
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
 ) -> bool {
     let frame = framing::scan(line);
-    // By-fingerprint fast path: route on the scanned spans and answer a
-    // result-cache hit inline, touching no JSON values at all. A miss
-    // (or any framing anomaly) falls through to the full parser, which
-    // owns validation and structured errors.
-    if let Some(f) = &frame {
-        if f.verb == "rid" {
-            if let Some(fp) = f.fingerprint.and_then(|s| s.parse::<u64>().ok()) {
-                let started = Stopwatch::start();
-                let shard = shared
-                    .shards
-                    .get(rendezvous(fp, shared.shards.len()))
-                    .expect("rendezvous picks a shard below the count");
-                let key = (fp, span_config_key(f.config, f.detector));
-                let hit = shard.lock_results().get(&key);
-                if let Some(payload) = hit {
-                    shard.rid_requests.inc();
-                    let alive = send(conn, ok_line_raw(f.id, &payload));
-                    shared.request_ns.record_duration(started.elapsed());
-                    return alive;
+    if let Some(f) = frame.as_ref().filter(|f| f.verb == "rid") {
+        match (f.fingerprint, f.snapshot) {
+            // By-fingerprint fast path: route on the scanned spans and
+            // answer a result-cache hit inline, touching no JSON values
+            // at all. A line with a snapshot takes the full parser,
+            // since the scanner has not validated the snapshot.
+            (Some(fp), None) => {
+                if let Ok(fp) = fp.parse::<u64>() {
+                    let shard = shard_at(shared, rendezvous(fp, shared.shards.len()));
+                    let key = (fp, span_config_key(f.config, f.detector));
+                    let hit = shard.lock_results().get(&key);
+                    if let Some(payload) = hit {
+                        shard.rid_requests.inc();
+                        let alive = send(conn, ok_line_raw(f.id, &payload));
+                        shared.request_ns.record_duration(received.elapsed());
+                        return alive;
+                    }
                 }
             }
+            // Full form: hash the span, route, and leave the decode to
+            // the shard worker.
+            (None, Some(snapshot)) => {
+                let fingerprint = fingerprint_bytes(snapshot.as_bytes());
+                let input = RidInput::Framed {
+                    line: line.to_owned(),
+                    snapshot: range_in(line, snapshot),
+                    config: f.config.map(|span| range_in(line, span)),
+                    detector: f.detector.map(|span| range_in(line, span)),
+                };
+                let job = Job {
+                    id: f.id,
+                    received,
+                    conn: Arc::clone(conn),
+                    work: Work::Rid {
+                        input,
+                        fingerprint,
+                        config_key: Some(span_config_key(f.config, f.detector)),
+                    },
+                };
+                return enqueue(
+                    rendezvous(fingerprint, shared.shards.len()),
+                    job,
+                    conn,
+                    shared,
+                );
+            }
+            _ => {}
         }
     }
+    // Lines the scanner refuses, the other verbs and by-fingerprint
+    // misses: the full parser owns validation and structured errors.
     match parse_request(line) {
-        Ok(request) => serve_request(request, frame.as_ref(), conn, watch, shared),
+        Ok(request) => serve_request(request, frame.as_ref(), received, conn, watch, shared),
         Err((id, error)) => send(conn, error_line(id, &error)),
     }
 }
@@ -662,6 +765,7 @@ fn handle_line(
 fn serve_request(
     request: Request,
     frame: Option<&Frame<'_>>,
+    received: Instant,
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
@@ -698,37 +802,27 @@ fn serve_request(
             config,
             detector,
         } => {
-            // The request's one fingerprint: the raw snapshot span when
-            // the line framed cleanly (canonical encodings hash to the
-            // canonical fingerprint), otherwise the parsed snapshot's
-            // canonical fingerprint. It routes the request and keys both
-            // of the shard's caches. The result cache is only primed on
-            // the span path — its config half must match what
-            // by-fingerprint lookups compute from their own spans.
-            let (fingerprint, config_key) = match frame.and_then(|f| f.snapshot) {
-                Some(span) => (
-                    fingerprint_bytes(span.as_bytes()),
-                    Some(span_config_key(
-                        frame.and_then(|f| f.config),
-                        frame.and_then(|f| f.detector),
-                    )),
-                ),
-                None => (snapshot_fingerprint(&snapshot), None),
-            };
+            // A line the scanner refused: the parsed snapshot's canonical
+            // fingerprint is the request's one key, routing it and keying
+            // the artifact cache. The result cache is only primed from
+            // framed lines, whose config spans by-fingerprint lookups
+            // reproduce.
+            let fingerprint = snapshot_fingerprint(&snapshot);
             let shard = rendezvous(fingerprint, shared.shards.len());
             enqueue(
                 shard,
                 Job {
                     id,
-                    // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
-                    received: Instant::now(),
+                    received,
                     conn: Arc::clone(conn),
                     work: Work::Rid {
-                        snapshot,
-                        config,
-                        detector,
+                        input: RidInput::Parsed(RequestBody::Rid {
+                            snapshot,
+                            config,
+                            detector,
+                        }),
                         fingerprint,
-                        config_key,
+                        config_key: None,
                     },
                 },
                 conn,
@@ -758,8 +852,7 @@ fn serve_request(
                 shard,
                 Job {
                     id,
-                    // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
-                    received: Instant::now(),
+                    received,
                     conn: Arc::clone(conn),
                     work: Work::Simulate { seeds, runs, seed },
                 },
@@ -770,7 +863,7 @@ fn serve_request(
         RequestBody::WatchOpen {
             config,
             answer_every,
-        } => serve_watch_open(id, config, answer_every, conn, watch, shared),
+        } => serve_watch_open(id, config, answer_every, received, conn, watch, shared),
         RequestBody::WatchDelta { delta } => {
             let Some(pin) = watch.as_ref() else {
                 let error = WireError::new(
@@ -799,8 +892,7 @@ fn serve_request(
                 shard,
                 Job {
                     id,
-                    // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
-                    received: Instant::now(),
+                    received,
                     conn: Arc::clone(conn),
                     work: Work::WatchDelta { delta },
                 },
@@ -820,8 +912,7 @@ fn serve_request(
                 pin.shard,
                 Job {
                     id,
-                    // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
-                    received: Instant::now(),
+                    received,
                     conn: Arc::clone(conn),
                     work: Work::WatchClose,
                 },
@@ -900,6 +991,7 @@ fn serve_watch_open(
     id: u64,
     config: Option<RidConfig>,
     answer_every: Option<u64>,
+    received: Instant,
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
@@ -946,8 +1038,7 @@ fn serve_watch_open(
     let shard = rendezvous(conn.id, shared.shards.len());
     let job = Job {
         id,
-        // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
-        received: Instant::now(),
+        received,
         conn: Arc::clone(conn),
         work: Work::WatchOpen {
             session: Box::new(session),
@@ -1062,42 +1153,10 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                 }
                 let line = match work {
                     Work::Rid {
-                        snapshot,
-                        config,
-                        detector,
+                        input,
                         fingerprint,
                         config_key,
-                    } => match shard.engine.rid(&snapshot, fingerprint, config, detector) {
-                        Ok(result) => {
-                            let mut payload = result.to_json_value();
-                            // Echo the detector only when the request
-                            // chose one, keeping legacy responses
-                            // byte-identical.
-                            if let (Some(kind), Value::Object(fields)) = (detector, &mut payload) {
-                                fields.push((
-                                    "detector".into(),
-                                    Value::String(kind.as_label().into()),
-                                ));
-                            }
-                            let serialized = payload.to_json();
-                            if let Some(config_key) = config_key {
-                                shard.lock_results().insert(
-                                    (fingerprint, config_key),
-                                    Arc::<str>::from(serialized.as_str()),
-                                );
-                            }
-                            ok_line_raw(id, &serialized)
-                        }
-                        Err(error) => {
-                            let kind = match &error {
-                                RidError::InvalidParameter { .. } => ErrorKind::BadRequest,
-                                // Engine cache keys include alpha, so a
-                                // mismatch here is a server bug.
-                                _ => ErrorKind::Internal,
-                            };
-                            error_line(Some(id), &WireError::new(kind, error.to_string()))
-                        }
-                    },
+                    } => serve_rid(shard, id, input, fingerprint, config_key),
                     Work::Simulate { seeds, runs, seed } => {
                         match shard.engine.simulate(&seeds, runs, seed) {
                             Ok(estimate) => ok_line(id, estimate.to_json_value()),
@@ -1170,6 +1229,59 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
             .fetch_sub(sessions.len(), Ordering::SeqCst);
     }
     shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Decodes and answers one `rid` job on its shard's worker, filing a
+/// framed request's answer in the result cache.
+fn serve_rid(
+    shard: &Shard,
+    id: u64,
+    input: RidInput,
+    fingerprint: u64,
+    config_key: Option<u64>,
+) -> String {
+    let (snapshot, config, detector) = match input.decode() {
+        Ok(RequestBody::Rid {
+            snapshot,
+            config,
+            detector,
+        }) => (snapshot, config, detector),
+        Ok(_) => {
+            let error = WireError::new(
+                ErrorKind::Internal,
+                "a framed rid line parsed as another request",
+            );
+            return error_line(Some(id), &error);
+        }
+        Err((id, error)) => return error_line(id, &error),
+    };
+    match shard.engine.rid(&snapshot, fingerprint, config, detector) {
+        Ok(result) => {
+            let mut payload = result.to_json_value();
+            // Echo the detector only when the request chose one, keeping
+            // legacy responses byte-identical.
+            if let (Some(kind), Value::Object(fields)) = (detector, &mut payload) {
+                fields.push(("detector".into(), Value::String(kind.as_label().into())));
+            }
+            let serialized = payload.to_json();
+            if let Some(config_key) = config_key {
+                shard.lock_results().insert(
+                    (fingerprint, config_key),
+                    Arc::<str>::from(serialized.as_str()),
+                );
+            }
+            ok_line_raw(id, &serialized)
+        }
+        Err(error) => {
+            let kind = match &error {
+                RidError::InvalidParameter { .. } => ErrorKind::BadRequest,
+                // Engine cache keys include alpha, so a mismatch here is
+                // a server bug.
+                _ => ErrorKind::Internal,
+            };
+            error_line(Some(id), &WireError::new(kind, error.to_string()))
+        }
+    }
 }
 
 /// Applies one delta to this connection's pinned session and answers it
@@ -1293,6 +1405,49 @@ mod tests {
             (400..=1400).contains(&moved),
             "expected ~1/5 of 4000 keys to move, got {moved}"
         );
+    }
+
+    /// Feeds `chunks` as successive reads and returns the lines split
+    /// off after each, as `pump_conn` does.
+    fn split(chunks: &[&[u8]]) -> (Vec<Vec<String>>, LineBuffer) {
+        let mut lines = LineBuffer::default();
+        let mut per_read = Vec::new();
+        for chunk in chunks {
+            lines.bytes.extend_from_slice(chunk);
+            let mut cursor = 0;
+            let mut got = Vec::new();
+            while let Some(range) = lines.next_line(&mut cursor) {
+                got.push(String::from_utf8(lines.bytes[range].to_vec()).unwrap());
+            }
+            lines.consume(cursor);
+            per_read.push(got);
+        }
+        (per_read, lines)
+    }
+
+    #[test]
+    fn line_buffer_splits_lines_over_partial_reads() {
+        let long = "x".repeat(40_000);
+        let stream = format!("{long}\n{{\"id\":1}}\n\nlast\n");
+        for size in [1, 16 * 1024] {
+            let chunks: Vec<&[u8]> = stream.as_bytes().chunks(size).collect();
+            let (per_read, rest) = split(&chunks);
+            let lines: Vec<String> = per_read.into_iter().flatten().collect();
+            assert_eq!(lines, [long.as_str(), "{\"id\":1}", "", "last"], "{size}");
+            assert!(rest.bytes.is_empty() && rest.searched == 0);
+        }
+
+        // Two pipelined lines in one read, then a read that ends right
+        // after a newline, then a line completed by the next read.
+        let (per_read, rest) = split(&[b"a\nb\n", b"c\nd", b"d\n"]);
+        assert_eq!(per_read, [vec!["a", "b"], vec!["c"], vec!["dd"]]);
+        assert!(rest.bytes.is_empty());
+
+        // A line still arriving is searched once: the search resumes
+        // where the previous read's search stopped.
+        let (_, rest) = split(&[b"done\npart", b"ial"]);
+        assert_eq!(rest.bytes, b"partial");
+        assert_eq!(rest.searched, rest.bytes.len());
     }
 
     #[test]

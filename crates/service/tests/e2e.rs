@@ -950,6 +950,77 @@ fn an_escaped_snapshot_key_cannot_file_one_snapshot_under_anothers_key() {
 }
 
 #[test]
+fn snapshots_naming_more_nodes_than_they_list_are_refused_without_allocating() {
+    // Each line names billions of nodes in a few bytes. Building the
+    // graph before checking the count would try to allocate tens of
+    // gigabytes and abort the daemon.
+    let daemon = Daemon::spawn(&[]);
+    let mut raw = daemon.raw();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
+    let mut exchange = |line: &str| -> String {
+        raw.write_all(line.as_bytes()).expect("write");
+        raw.write_all(b"\n").expect("write newline");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+    for (id, line) in [
+        (
+            "2",
+            r#"{"id":2,"type":"rid","snapshot":{"graph":{"nodes":4294967295,"edges":[]},"states":[],"mapping":[]}}"#,
+        ),
+        (
+            "3",
+            r#"{"id":3,"type":"rid","snapshot":{"graph":{"nodes":1,"edges":[[0,4294967294,1,0.5]]},"states":["+"],"mapping":[0]}}"#,
+        ),
+        // `4.0` is refused by the scanner, so the full parser decodes it.
+        (
+            "4",
+            r#"{"id":4.0,"type":"rid","snapshot":{"graph":{"nodes":4294967295,"edges":[]},"states":[],"mapping":[]}}"#,
+        ),
+    ] {
+        let reply = exchange(line);
+        assert!(reply.contains(&format!("\"id\":{id},")), "{reply}");
+        assert!(reply.contains("bad_request"), "{reply}");
+        assert!(reply.contains("disagree on node count"), "{reply}");
+    }
+    let reply = exchange(r#"{"id":5,"type":"health"}"#);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    daemon.client().shutdown().expect("shutdown");
+}
+
+#[test]
+fn cached_answers_are_not_served_to_malformed_by_fingerprint_lines() {
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    let snap = snapshot(1);
+    client.rid(&snap, None).expect("prime the result cache");
+    let fingerprint = snapshot_fingerprint(&snap);
+
+    let mut raw = daemon.raw();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
+    let mut exchange = |line: String| -> String {
+        raw.write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+    let line = format!(r#"{{"id":6,"type":"rid","fingerprint":"{fingerprint}""#);
+    let reply = exchange(format!("{line}}}"));
+    assert!(
+        reply.contains("\"ok\":true"),
+        "the cache is primed: {reply}"
+    );
+    // The full parser refuses the `nul` literal, so the cache must not
+    // answer the line either.
+    let reply = exchange(format!(r#"{line},"x":nul}}"#));
+    assert!(reply.contains("\"id\":null"), "{reply}");
+    assert!(reply.contains("bad_request"), "{reply}");
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
 fn sixty_four_concurrent_clients_get_bit_identical_answers() {
     let daemon = Daemon::spawn(&["--shards", "4"]);
 
