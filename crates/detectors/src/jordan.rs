@@ -8,14 +8,19 @@
 //! node) over the undirected infected subgraph. The intuition is that a
 //! rumor spreading roughly one hop per step leaves its origin near the
 //! hop-distance center of the infected set.
+//!
+//! Each eccentricity is one [`Bfs`] search of the snapshot CSR: a
+//! search from a node reaches exactly its weak component, so the depth
+//! of its last visit is the node's eccentricity. One scratch serves
+//! every search of a [`detect_ranked`](InitiatorDetector::detect_ranked)
+//! call.
 
 use crate::sort_ranked;
 use isomit_core::{DetectedInitiator, Detection, InitiatorDetector, RankedSource, SourceDetection};
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::weakly_connected_components;
-use isomit_graph::NodeId;
+use isomit_graph::traversal::Bfs;
 use isomit_telemetry::{names, Histogram};
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 /// Cached handle into the process-global telemetry registry; looked up
@@ -23,30 +28,6 @@ use std::sync::OnceLock;
 fn jordan_histogram() -> &'static Histogram {
     static HIST: OnceLock<Histogram> = OnceLock::new();
     HIST.get_or_init(|| isomit_telemetry::global().histogram(names::DETECTOR_JORDAN_CENTER_NS))
-}
-
-/// Hop distances from `start` over a component-local undirected
-/// adjacency list; every node of a weak component is reachable, so the
-/// maximum entry is `start`'s eccentricity.
-fn eccentricity(adj: &[Vec<usize>], start: usize) -> usize {
-    let mut dist = vec![usize::MAX; adj.len()];
-    *dist.get_mut(start).expect("start is a component-local id") = 0;
-    let mut queue = VecDeque::from([start]);
-    let mut farthest = 0usize;
-    while let Some(u) = queue.pop_front() {
-        let du = *dist.get(u).expect("queue holds component-local ids");
-        farthest = farthest.max(du);
-        for &v in adj.get(u).expect("adjacency covers the component") {
-            let dv = dist
-                .get_mut(v)
-                .expect("adjacency entries are component-local ids");
-            if *dv == usize::MAX {
-                *dv = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    farthest
 }
 
 /// The Jordan-center estimator: one point-estimate source per infected
@@ -84,22 +65,11 @@ impl InitiatorDetector for JordanCenter {
         let components = weakly_connected_components(graph);
         let mut initiators = Vec::with_capacity(components.len());
         let mut ranked = Vec::with_capacity(graph.node_count());
+        let mut bfs = Bfs::default();
         for component in &components {
-            let local_of: BTreeMap<NodeId, usize> =
-                component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let adj: Vec<Vec<usize>> = component
+            let eccs: Vec<u32> = component
                 .iter()
-                .map(|&u| {
-                    graph
-                        .out_neighbors(u)
-                        .iter()
-                        .chain(graph.in_neighbors(u))
-                        .filter_map(|v| local_of.get(v).copied())
-                        .collect()
-                })
-                .collect();
-            let eccs: Vec<usize> = (0..component.len())
-                .map(|v| eccentricity(&adj, v))
+                .map(|&v| bfs.search(graph, &[v]).last().map_or(0, |last| last.depth))
                 .collect();
             let (best_sub_id, _) = component
                 .iter()
@@ -120,7 +90,7 @@ impl InitiatorDetector for JordanCenter {
                         .to_original(sub_id)
                         .expect("snapshot id maps to original network"),
                     state: snapshot.state(sub_id),
-                    score: -(ecc as f64),
+                    score: -f64::from(ecc),
                 });
             }
         }
@@ -141,7 +111,7 @@ impl InitiatorDetector for JordanCenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isomit_graph::{Edge, NodeState, Sign, SignedDigraph};
+    use isomit_graph::{Edge, NodeId, NodeState, Sign, SignedDigraph};
 
     fn snapshot(edges: &[(u32, u32)], n: usize) -> InfectedNetwork {
         let g = SignedDigraph::from_edges(

@@ -4,7 +4,10 @@
 //! (arXiv:0909.4370, IEEE Trans. IT 2011): for a tree rooted at `v`,
 //! `R(v) = n! / Π_u T_u^v` counts the infection orderings `v` could
 //! have initiated; on general graphs the standard heuristic applies the
-//! tree formula to a BFS spanning tree of each infected component. The
+//! tree formula to a BFS spanning tree of each infected component. Here
+//! that tree is the [`Bfs`] search of the snapshot CSR from the
+//! component's smallest id, one reused scratch per
+//! [`detect_ranked`](InitiatorDetector::detect_ranked) call. The
 //! log-space message-passing sweep lives in
 //! [`isomit_core::tree_rumor_centralities`]; this detector picks one
 //! argmax per component (the last on ties) and ranks every node.
@@ -16,9 +19,9 @@ use isomit_core::{
 };
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::weakly_connected_components;
+use isomit_graph::traversal::Bfs;
 use isomit_graph::{NodeId, SignedDigraph};
 use isomit_telemetry::{names, Histogram};
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 /// Cached handle into the process-global telemetry registry; looked up
@@ -28,39 +31,22 @@ fn rumor_histogram() -> &'static Histogram {
     HIST.get_or_init(|| isomit_telemetry::global().histogram(names::DETECTOR_RUMOR_CENTRALITY_NS))
 }
 
-/// BFS spanning tree (undirected view) of the subgraph induced by
-/// `component`, as parent pointers over component-local indices: rooted
-/// at the component's first node, out-neighbors before in-neighbors.
-fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> {
-    let local_of: BTreeMap<NodeId, usize> =
-        component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+/// BFS spanning tree (undirected view) of the weak `component`, sorted
+/// ascending, as parent pointers over its local indices: rooted at its
+/// smallest id, out-neighbours before in-neighbours.
+fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId], bfs: &mut Bfs) -> Vec<usize> {
+    let local = |node: NodeId| {
+        component
+            .binary_search(&node)
+            .expect("a weak component holds every node its search reaches")
+    };
     let mut parent = vec![usize::MAX; component.len()];
-    let mut visited = vec![false; component.len()];
-    if let Some(first) = visited.first_mut() {
-        *first = true;
-    }
-    let mut queue = VecDeque::from([0usize]);
-    while let Some(u) = queue.pop_front() {
-        let u_id = *component
-            .get(u)
-            .expect("queue holds component-local indices");
-        for &v_id in graph
-            .out_neighbors(u_id)
-            .iter()
-            .chain(graph.in_neighbors(u_id))
-        {
-            if let Some(&v) = local_of.get(&v_id) {
-                let seen = visited
-                    .get_mut(v)
-                    .expect("local ids are below component length");
-                if !*seen {
-                    *seen = true;
-                    *parent
-                        .get_mut(v)
-                        .expect("local ids are below component length") = u;
-                    queue.push_back(v);
-                }
-            }
+    let root = *component.first().expect("non-empty component");
+    for visit in bfs.search(graph, &[root]) {
+        if let Some(up) = visit.parent {
+            *parent
+                .get_mut(local(visit.node))
+                .expect("local ids are below component length") = local(up);
         }
     }
     parent
@@ -99,10 +85,11 @@ impl InitiatorDetector for RumorCentralityDetector {
         let _span = rumor_histogram().span();
         let graph = snapshot.graph();
         let components = weakly_connected_components(graph);
+        let mut bfs = Bfs::default();
         let mut initiators = Vec::with_capacity(components.len());
         let mut ranked = Vec::with_capacity(graph.node_count());
         for component in &components {
-            let parent = bfs_spanning_tree(graph, component);
+            let parent = bfs_spanning_tree(graph, component, &mut bfs);
             let log_r = tree_rumor_centralities(&parent);
             let (best_sub_id, _) = component
                 .iter()

@@ -1,6 +1,10 @@
-// lint:allow-file(indexing) union-find parent/rank arrays are allocated with node_count entries and only indexed by NodeId indices from the same graph
+//! Connectivity: a union-find for callers that merge sets edge by edge,
+//! and the paper's infected connected components, which one
+//! breadth-first search per component finds with
+//! [`isomit_graph::traversal::Bfs`].
+
+use isomit_graph::traversal::Bfs;
 use isomit_graph::{NodeId, SignedDigraph};
-use std::collections::VecDeque;
 
 /// Disjoint-set (union-find) structure with path compression and union by
 /// rank.
@@ -124,9 +128,10 @@ impl UnionFind {
 /// sets connected when edge directions are ignored (the paper's
 /// Definition 6, *infected connected components*).
 ///
-/// Runs BFS from every unvisited node — `O(n + m)` as in §III-E1.
-/// Components are returned in ascending order of their smallest node id,
-/// and nodes within a component ascend too, so output is deterministic.
+/// Runs one undirected BFS from every node no earlier search reached —
+/// `O(n + m)` as in §III-E1. Components are returned in ascending order
+/// of their smallest node id, and nodes within a component ascend too, so
+/// output is deterministic.
 ///
 /// ```
 /// use isomit_forest::weakly_connected_components;
@@ -144,24 +149,21 @@ impl UnionFind {
 /// # }
 /// ```
 pub fn weakly_connected_components(graph: &SignedDigraph) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
+    let mut bfs = Bfs::default();
+    let mut assigned = vec![false; graph.node_count()];
     let mut components = Vec::new();
-    let mut queue = VecDeque::new();
     for start in graph.nodes() {
-        if visited[start.index()] {
+        if assigned.get(start.index()) == Some(&true) {
             continue;
         }
-        visited[start.index()] = true;
-        queue.push_back(start);
-        let mut component = Vec::new();
-        while let Some(u) = queue.pop_front() {
-            component.push(u);
-            for &v in graph.out_neighbors(u).iter().chain(graph.in_neighbors(u)) {
-                if !visited[v.index()] {
-                    visited[v.index()] = true;
-                    queue.push_back(v);
-                }
+        let mut component: Vec<NodeId> = bfs
+            .search(graph, &[start])
+            .iter()
+            .map(|visit| visit.node)
+            .collect();
+        for node in &component {
+            if let Some(seen) = assigned.get_mut(node.index()) {
+                *seen = true;
             }
         }
         component.sort_unstable();

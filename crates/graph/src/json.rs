@@ -12,6 +12,11 @@
 //! edge lists and then CSR arrays, never building a [`Value`]. Both
 //! follow one grammar, so they accept the same documents.
 //!
+//! Arrays and objects nest at most 128 levels deep, serde_json's default
+//! recursion limit; a deeper document is a [`JsonError`]. [`Value::parse`]
+//! recurses once per level, so the limit bounds its stack use whatever
+//! the input.
+//!
 //! Numbers are `f64`. The writer emits integral values without a decimal
 //! point and everything else through Rust's shortest-round-trip `{:?}`
 //! formatting, so `parse(to_json(v)) == v` holds bit-exactly for every
@@ -28,6 +33,9 @@
 use crate::{Edge, NodeId, NodeState, Sign, SignedDigraph};
 use std::borrow::Cow;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects a [`Reader`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,6 +272,8 @@ fn write_string(s: &str, out: &mut String) {
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 /// Iteration state of one array or object opened by a [`Reader`]:
@@ -316,7 +326,7 @@ impl Members {
     fn separator(&mut self, reader: &mut Reader<'_>) -> Result<bool, JsonError> {
         if std::mem::take(&mut self.first) {
             if reader.peek() == Some(self.close) {
-                reader.pos += 1;
+                reader.leave();
                 return Ok(false);
             }
             return Ok(true);
@@ -328,7 +338,7 @@ impl Members {
                 Ok(true)
             }
             Some(b) if b == self.close => {
-                reader.pos += 1;
+                reader.leave();
                 Ok(false)
             }
             _ => Err(reader.err(if self.close == b']' {
@@ -346,6 +356,7 @@ impl<'a> Reader<'a> {
         Reader {
             text: input,
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -473,11 +484,15 @@ impl<'a> Reader<'a> {
 
     /// Skips one value by bracket depth alone, without validating it:
     /// for a span that another reader will validate. Strings are skipped
-    /// whole, escapes included; a scalar runs to the next delimiter.
+    /// whole, escapes included; a scalar runs to the next delimiter. The
+    /// nesting limit still applies, counted from the document root, so a
+    /// span this accepts nests no deeper than a parse of the whole
+    /// document allows.
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] when the value is empty or unterminated.
+    /// Returns a [`JsonError`] when the value is empty, unterminated or
+    /// nested too deep.
     pub fn skip_unchecked(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -487,6 +502,9 @@ impl<'a> Reader<'a> {
                 loop {
                     match self.peek() {
                         Some(b'{' | b'[') => {
+                            if self.depth + depth == MAX_DEPTH {
+                                return Err(self.too_deep());
+                            }
                             depth += 1;
                             self.pos += 1;
                         }
@@ -537,17 +555,32 @@ impl<'a> Reader<'a> {
     fn open(&mut self, open: u8, close: u8) -> Result<Option<Members>, JsonError> {
         self.skip_ws();
         if self.peek() == Some(open) {
-            Ok(Some(self.members(close)))
+            self.members(close).map(Some)
         } else {
             self.skip().map(|()| None)
         }
     }
 
-    /// Consumes the opening byte of a container known to be next.
-    fn members(&mut self, close: u8) -> Members {
+    /// Consumes the opening byte of a container known to be next, one
+    /// level deeper.
+    fn members(&mut self, close: u8) -> Result<Members, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
         self.pos += 1;
         self.skip_ws();
-        Members { first: true, close }
+        Ok(Members { first: true, close })
+    }
+
+    /// Consumes the closing byte of the innermost open container.
+    fn leave(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
+        self.pos += 1;
+    }
+
+    fn too_deep(&self) -> JsonError {
+        self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
     }
 
     fn err(&self, message: &str) -> JsonError {
@@ -595,7 +628,7 @@ impl<'a> Reader<'a> {
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
             Some(b'[') => {
-                let mut items = self.members(b']');
+                let mut items = self.members(b']')?;
                 let mut values = Vec::new();
                 while items.next_item(self)? {
                     values.push(self.value()?);
@@ -603,7 +636,7 @@ impl<'a> Reader<'a> {
                 Ok(Value::Array(values))
             }
             Some(b'{') => {
-                let mut members = self.members(b'}');
+                let mut members = self.members(b'}')?;
                 let mut fields = Vec::new();
                 while let Some(key) = members.next_key(self)? {
                     let value = self.value()?;
@@ -1039,6 +1072,43 @@ mod tests {
         for text in [r#"{"a": [1}"#, r#""open"#, ","] {
             assert!(Reader::new(text).skip_unchecked().is_err(), "{text}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_128_levels_on_a_default_stack() {
+        // Before the bound, 10,000 levels overflowed a default-size
+        // thread stack and aborted the process.
+        std::thread::spawn(|| {
+            let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+            assert!(Value::parse(&nested(128)).is_ok());
+            Reader::new(&nested(128)).skip().unwrap();
+            Reader::new(&nested(128)).skip_unchecked().unwrap();
+            for depth in [129, 100_000] {
+                let text = nested(depth);
+                let err = Value::parse(&text).unwrap_err();
+                assert_eq!(
+                    err,
+                    JsonError::new("nesting deeper than 128 levels at byte 128")
+                );
+                assert_eq!(Reader::new(&text).skip().unwrap_err(), err);
+                assert_eq!(Reader::new(&text).skip_unchecked().unwrap_err(), err);
+            }
+            // Objects count too, and closed siblings give their level back.
+            let objects = r#"{"a":"#.repeat(129) + "1" + &"}".repeat(129);
+            assert!(Value::parse(&objects).is_err());
+            let siblings = format!("[{}]", vec![nested(127); 300].join(","));
+            assert!(Value::parse(&siblings).is_ok());
+            // Containers a decoder opens count from the document root.
+            let mut reader = Reader::new(&siblings);
+            let mut items = reader.read_array().unwrap().unwrap();
+            assert!(items.next_item(&mut reader).unwrap());
+            reader.skip_unchecked().unwrap();
+            let mut reader = Reader::new("[[[]]]");
+            reader.depth = MAX_DEPTH - 2;
+            assert!(reader.skip().is_err());
+        })
+        .join()
+        .expect("deep documents are refused, not overflowing the stack");
     }
 
     #[test]

@@ -1,226 +1,136 @@
-//! Graph traversal utilities: BFS/DFS orders, hop distances and
-//! reachability over the directed structure (signs and weights are
-//! ignored here — these are purely structural helpers used by the
-//! detection pipeline and by analyses).
+//! Breadth-first search over the undirected view of a
+//! [`SignedDigraph`], the one graph search of the workspace.
+//!
+//! Signs, weights and edge directions are ignored: an edge `(u, v)`
+//! joins `u` and `v` both ways. Weakly connected components (the
+//! paper's §III-E1 infected connected components), rumor centrality's
+//! BFS spanning tree, Jordan-center eccentricities and the hop-distance
+//! metric all run this search, so they all see one visit order: the
+//! sources in the order given (duplicates once), then level by level,
+//! each node's out-neighbours before its in-neighbours, each list in
+//! CSR (ascending id) order.
+//!
+//! A [`Bfs`] is reusable scratch. Its visited array is stamped with a
+//! per-search epoch, so starting a search costs O(1) rather than O(n),
+//! and its visit list doubles as the queue. A search costs O(n + m) over
+//! the part of the graph it reaches.
 
 use crate::{NodeId, SignedDigraph};
-use std::collections::VecDeque;
 
-/// Direction of traversal along directed edges.
+/// One node reached by a [`Bfs::search`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Follow edges from source to destination (`out_edges`).
-    Forward,
-    /// Follow edges destination to source (`in_edges`).
-    Backward,
+pub struct Visit {
+    /// The node reached.
+    pub node: NodeId,
+    /// The node it was first reached from; `None` for a source.
+    pub parent: Option<NodeId>,
+    /// Hop distance from the nearest source.
+    pub depth: u32,
 }
 
-fn neighbors(g: &SignedDigraph, u: NodeId, dir: Direction) -> &[NodeId] {
-    match dir {
-        Direction::Forward => g.out_neighbors(u),
-        Direction::Backward => g.in_neighbors(u),
-    }
-}
-
-/// Breadth-first order from `start` along `direction`, including
-/// `start` itself.
-///
-/// # Panics
-///
-/// Panics if `start` is out of bounds.
-///
-/// # Examples
+/// Reusable scratch for breadth-first searches over the undirected view
+/// of a graph.
 ///
 /// ```
-/// use isomit_graph::traversal::{bfs_order, Direction};
+/// use isomit_graph::traversal::{Bfs, Visit};
 /// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
 ///
-/// // 0 -> {1, 2}, 1 -> 3: visited level by level.
+/// // 0 -> 1 <- 2: connected once directions are ignored; 3 is isolated.
 /// let g = SignedDigraph::from_edges(
 ///     4,
 ///     [
 ///         Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5),
-///         Edge::new(NodeId(0), NodeId(2), Sign::Positive, 0.5),
-///         Edge::new(NodeId(1), NodeId(3), Sign::Positive, 0.5),
+///         Edge::new(NodeId(2), NodeId(1), Sign::Negative, 0.5),
 ///     ],
 /// )?;
-/// let order = bfs_order(&g, NodeId(0), Direction::Forward);
-/// assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+/// let mut bfs = Bfs::default();
+/// let visits = bfs.search(&g, &[NodeId(0)]);
+/// assert_eq!(
+///     visits,
+///     [
+///         Visit { node: NodeId(0), parent: None, depth: 0 },
+///         Visit { node: NodeId(1), parent: Some(NodeId(0)), depth: 1 },
+///         Visit { node: NodeId(2), parent: Some(NodeId(1)), depth: 2 },
+///     ]
+/// );
+/// // The same scratch serves the next search.
+/// assert_eq!(bfs.search(&g, &[NodeId(3)]).len(), 1);
 /// # Ok::<(), isomit_graph::GraphError>(())
 /// ```
-pub fn bfs_order(g: &SignedDigraph, start: NodeId, direction: Direction) -> Vec<NodeId> {
-    assert!(g.contains(start), "start {start} out of bounds");
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in neighbors(g, u, direction) {
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                queue.push_back(v);
+#[derive(Debug, Default)]
+pub struct Bfs {
+    /// `stamp[v] == epoch` exactly when the current search reached `v`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The current search's visits in BFS order; the unread tail is the
+    /// queue.
+    visits: Vec<Visit>,
+}
+
+impl Bfs {
+    /// Searches `graph` from every node of `sources` at once and returns
+    /// each node reached, in BFS order, with its parent and depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of bounds for `graph`.
+    pub fn search(&mut self, graph: &SignedDigraph, sources: &[NodeId]) -> &[Visit] {
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            // Stamps left by the search 2^32 - 1 searches ago would
+            // alias the wrapped epoch, so clear them all once.
+            self.stamp.fill(0);
+            1
+        });
+        if self.stamp.len() < graph.node_count() {
+            self.stamp.resize(graph.node_count(), 0);
+        }
+        let Bfs {
+            stamp,
+            epoch,
+            visits,
+        } = self;
+        visits.clear();
+        for &source in sources {
+            assert!(graph.contains(source), "source {source} out of bounds");
+            reach(stamp, *epoch, visits, source, None, 0);
+        }
+        let mut head = 0;
+        while let Some(&Visit { node, depth, .. }) = visits.get(head) {
+            head += 1;
+            for neighbours in [graph.out_neighbors(node), graph.in_neighbors(node)] {
+                for &next in neighbours {
+                    reach(stamp, *epoch, visits, next, Some(node), depth + 1);
+                }
             }
         }
+        visits
     }
-    order
 }
 
-/// Depth-first pre-order from `start` along `direction` (iterative, so
-/// deep graphs do not overflow the stack). Children are visited in
-/// ascending id order.
-///
-/// # Panics
-///
-/// Panics if `start` is out of bounds.
-///
-/// # Examples
-///
-/// ```
-/// use isomit_graph::traversal::{dfs_order, Direction};
-/// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
-///
-/// // 0 -> {1, 2}, 1 -> 3: descends through 1 before visiting 2.
-/// let g = SignedDigraph::from_edges(
-///     4,
-///     [
-///         Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5),
-///         Edge::new(NodeId(0), NodeId(2), Sign::Positive, 0.5),
-///         Edge::new(NodeId(1), NodeId(3), Sign::Positive, 0.5),
-///     ],
-/// )?;
-/// let order = dfs_order(&g, NodeId(0), Direction::Forward);
-/// assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2)]);
-/// # Ok::<(), isomit_graph::GraphError>(())
-/// ```
-pub fn dfs_order(g: &SignedDigraph, start: NodeId, direction: Direction) -> Vec<NodeId> {
-    assert!(g.contains(start), "start {start} out of bounds");
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push in reverse so the smallest neighbour is popped first.
-        for &v in neighbors(g, u, direction).iter().rev() {
-            if !visited[v.index()] {
-                stack.push(v);
-            }
-        }
+/// Appends `node` to `visits` unless the search stamped `epoch` has
+/// already reached it. A free function over the scratch's separate
+/// fields, so the compiler knows that growing `visits` leaves `stamp`
+/// alone, which keeps the inner loop tight.
+#[inline]
+fn reach(
+    stamp: &mut [u32],
+    epoch: u32,
+    visits: &mut Vec<Visit>,
+    node: NodeId,
+    parent: Option<NodeId>,
+    depth: u32,
+) {
+    let seen = stamp
+        .get_mut(node.index())
+        .expect("the stamp array covers the searched graph");
+    if *seen != epoch {
+        *seen = epoch;
+        visits.push(Visit {
+            node,
+            parent,
+            depth,
+        });
     }
-    order
-}
-
-/// Hop distance (unweighted shortest path length) from every node in
-/// `sources` to each node, `None` where unreachable. Multi-source BFS.
-///
-/// # Panics
-///
-/// Panics if any source is out of bounds.
-///
-/// # Examples
-///
-/// ```
-/// use isomit_graph::traversal::{hop_distances, Direction};
-/// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
-///
-/// // Chain 0 -> 1 -> 2 plus an isolated node 3.
-/// let g = SignedDigraph::from_edges(
-///     4,
-///     [
-///         Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5),
-///         Edge::new(NodeId(1), NodeId(2), Sign::Positive, 0.5),
-///     ],
-/// )?;
-/// let dist = hop_distances(&g, &[NodeId(0)], Direction::Forward);
-/// assert_eq!(dist, vec![Some(0), Some(1), Some(2), None]);
-/// # Ok::<(), isomit_graph::GraphError>(())
-/// ```
-pub fn hop_distances(
-    g: &SignedDigraph,
-    sources: &[NodeId],
-    direction: Direction,
-) -> Vec<Option<usize>> {
-    let mut dist: Vec<Option<usize>> = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        assert!(g.contains(s), "source {s} out of bounds");
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u.index()].expect("queued nodes have distances");
-        for &v in neighbors(g, u, direction) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(d + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// The set of nodes reachable from `sources` (inclusive) along
-/// `direction`, ascending.
-///
-/// # Examples
-///
-/// ```
-/// use isomit_graph::traversal::{reachable_set, Direction};
-/// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
-///
-/// let g = SignedDigraph::from_edges(
-///     4,
-///     [
-///         Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5),
-///         Edge::new(NodeId(2), NodeId(3), Sign::Negative, 0.5),
-///     ],
-/// )?;
-/// let reach = reachable_set(&g, &[NodeId(0)], Direction::Forward);
-/// assert_eq!(reach, vec![NodeId(0), NodeId(1)]);
-/// # Ok::<(), isomit_graph::GraphError>(())
-/// ```
-pub fn reachable_set(g: &SignedDigraph, sources: &[NodeId], direction: Direction) -> Vec<NodeId> {
-    hop_distances(g, sources, direction)
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_some())
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect()
-}
-
-/// `true` if there is a directed path from `from` to `to`.
-///
-/// # Panics
-///
-/// Panics if either node is out of bounds.
-///
-/// # Examples
-///
-/// ```
-/// use isomit_graph::traversal::is_reachable;
-/// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
-///
-/// let g = SignedDigraph::from_edges(
-///     3,
-///     [
-///         Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5),
-///         Edge::new(NodeId(1), NodeId(2), Sign::Positive, 0.5),
-///     ],
-/// )?;
-/// assert!(is_reachable(&g, NodeId(0), NodeId(2)));
-/// assert!(!is_reachable(&g, NodeId(2), NodeId(0)));
-/// # Ok::<(), isomit_graph::GraphError>(())
-/// ```
-pub fn is_reachable(g: &SignedDigraph, from: NodeId, to: NodeId) -> bool {
-    assert!(g.contains(to), "target {to} out of bounds");
-    hop_distances(g, &[from], Direction::Forward)[to.index()].is_some()
 }
 
 #[cfg(test)]
@@ -238,80 +148,39 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn bfs_visits_by_level() {
-        // 0 -> {1, 2}; 1 -> 3; 2 -> 3.
-        let g = g(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let order = bfs_order(&g, NodeId(0), Direction::Forward);
-        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+    fn nodes(visits: &[Visit]) -> Vec<u32> {
+        visits.iter().map(|v| v.node.0).collect()
     }
 
     #[test]
-    fn dfs_goes_deep_first() {
-        let g = g(4, &[(0, 1), (0, 2), (1, 3)]);
-        let order = dfs_order(&g, NodeId(0), Direction::Forward);
-        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2)]);
+    fn out_neighbours_come_before_in_neighbours() {
+        // 2 -> 0 and 0 -> 3, 0 -> 1: out-list [1, 3], then in-list [2].
+        let g = g(4, &[(2, 0), (0, 3), (0, 1)]);
+        let visits = Bfs::default().search(&g, &[NodeId(0)]).to_vec();
+        assert_eq!(nodes(&visits), [0, 1, 3, 2]);
+        assert!(visits
+            .iter()
+            .skip(1)
+            .all(|v| v.parent == Some(NodeId(0)) && v.depth == 1));
     }
 
     #[test]
-    fn backward_traversal_follows_in_edges() {
-        let g = g(3, &[(0, 2), (1, 2)]);
-        let order = bfs_order(&g, NodeId(2), Direction::Backward);
-        assert_eq!(order, vec![NodeId(2), NodeId(0), NodeId(1)]);
-        assert_eq!(
-            bfs_order(&g, NodeId(2), Direction::Forward),
-            vec![NodeId(2)]
-        );
-    }
-
-    #[test]
-    fn distances_multi_source() {
-        // 0 -> 1 -> 2 -> 3 and a second source at 2.
-        let g = g(5, &[(0, 1), (1, 2), (2, 3)]);
-        let d = hop_distances(&g, &[NodeId(0), NodeId(2)], Direction::Forward);
-        assert_eq!(d[0], Some(0));
-        assert_eq!(d[1], Some(1));
-        assert_eq!(d[2], Some(0));
-        assert_eq!(d[3], Some(1));
-        assert_eq!(d[4], None);
-    }
-
-    #[test]
-    fn reachability_checks() {
-        let g = g(4, &[(0, 1), (1, 2)]);
-        assert!(is_reachable(&g, NodeId(0), NodeId(2)));
-        assert!(!is_reachable(&g, NodeId(2), NodeId(0)));
-        assert!(is_reachable(&g, NodeId(3), NodeId(3)));
-        assert_eq!(
-            reachable_set(&g, &[NodeId(0)], Direction::Forward),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
-    }
-
-    #[test]
-    fn cycle_terminates() {
-        let g = g(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(bfs_order(&g, NodeId(0), Direction::Forward).len(), 3);
-        assert_eq!(dfs_order(&g, NodeId(0), Direction::Forward).len(), 3);
+    fn the_epoch_wraps_without_aliasing_old_stamps() {
+        let g = g(4, &[(0, 1), (2, 3)]);
+        let mut bfs = Bfs::default();
+        // Epoch 1 stamps 0 and 1; after the wrap the epoch is 1 again.
+        assert_eq!(nodes(bfs.search(&g, &[NodeId(0)])), [0, 1]);
+        bfs.epoch = u32::MAX - 1;
+        for source in [2, 0, 1, 3, 0] {
+            let fresh = Bfs::default().search(&g, &[NodeId(source)]).to_vec();
+            assert_eq!(bfs.search(&g, &[NodeId(source)]), fresh);
+        }
+        assert_eq!(bfs.epoch, 4);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn bad_start_panics() {
-        let g = g(2, &[(0, 1)]);
-        bfs_order(&g, NodeId(9), Direction::Forward);
-    }
-
-    #[test]
-    fn empty_sources_reach_nothing() {
-        let g = g(3, &[(0, 1)]);
-        assert!(reachable_set(&g, &[], Direction::Forward).is_empty());
-    }
-
-    #[test]
-    fn deep_chain_dfs_does_not_overflow() {
-        let edges: Vec<(u32, u32)> = (0..80_000).map(|i| (i, i + 1)).collect();
-        let g = g(80_001, &edges);
-        assert_eq!(dfs_order(&g, NodeId(0), Direction::Forward).len(), 80_001);
+    fn an_out_of_bounds_source_panics() {
+        Bfs::default().search(&g(2, &[(0, 1)]), &[NodeId(9)]);
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the graph substrate.
 
+use isomit_graph::traversal::{Bfs, Visit};
 use isomit_graph::{jaccard_coefficient, jaccard_weights, Edge, NodeId, Sign, SignedDigraph};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Strategy producing a valid edge set over `n` nodes (no self-loops,
 /// weights in [0, 1]).
@@ -22,6 +24,62 @@ fn arb_edges(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = (usize, 
         );
         proptest::collection::vec(edge, 0..max_edges).prop_map(move |edges| (n as usize, edges))
     })
+}
+
+/// Strategy producing a graph for the search tests — edges among the
+/// first nodes, some of them reciprocated, then isolated nodes — and up
+/// to `max_sources - 1` search sources, duplicates allowed.
+fn arb_search(max_sources: usize) -> impl Strategy<Value = (SignedDigraph, Vec<NodeId>)> {
+    (1..=16u32, 0..=6u32).prop_flat_map(move |(linked, isolated)| {
+        let pair = (0..linked, 0..linked, any::<bool>());
+        (
+            proptest::collection::vec(pair, 0..40),
+            proptest::collection::vec(0..linked + isolated, 0..max_sources),
+        )
+            .prop_map(move |(pairs, sources)| {
+                let mut edges = Vec::new();
+                for (a, b, reciprocal) in pairs.into_iter().filter(|&(a, b, _)| a != b) {
+                    edges.push(Edge::new(NodeId(a), NodeId(b), Sign::Positive, 0.5));
+                    if reciprocal {
+                        edges.push(Edge::new(NodeId(b), NodeId(a), Sign::Negative, 0.5));
+                    }
+                }
+                let n = (linked + isolated) as usize;
+                let g = SignedDigraph::from_edges(n, edges).expect("edges are in range");
+                (g, sources.into_iter().map(NodeId).collect())
+            })
+    })
+}
+
+/// The reference search: a textbook queue BFS over the undirected view,
+/// out-neighbours before in-neighbours.
+fn reference_bfs(g: &SignedDigraph, sources: &[NodeId]) -> Vec<Visit> {
+    let mut seen = vec![false; g.node_count()];
+    let mut queue = VecDeque::new();
+    for &node in sources {
+        if !std::mem::replace(&mut seen[node.index()], true) {
+            queue.push_back(Visit {
+                node,
+                parent: None,
+                depth: 0,
+            });
+        }
+    }
+    let mut order = Vec::new();
+    while let Some(visit) = queue.pop_front() {
+        order.push(visit);
+        let u = visit.node;
+        for &node in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+            if !std::mem::replace(&mut seen[node.index()], true) {
+                queue.push_back(Visit {
+                    node,
+                    parent: Some(u),
+                    depth: visit.depth + 1,
+                });
+            }
+        }
+    }
+    order
 }
 
 proptest! {
@@ -146,5 +204,27 @@ proptest! {
             .collect();
         let (sub, _map) = g.induced_subgraph(kept);
         prop_assert!(sub.validate().is_ok());
+    }
+}
+
+proptest! {
+    #[test]
+    fn bfs_visits_parents_and_depths_match_a_reference_search((g, sources) in arb_search(6)) {
+        let mut bfs = Bfs::default();
+        prop_assert_eq!(bfs.search(&g, &sources), &reference_bfs(&g, &sources)[..]);
+        for node in g.nodes() {
+            prop_assert_eq!(bfs.search(&g, &[node]), &reference_bfs(&g, &[node])[..]);
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_answers_like_a_fresh_one(
+        searches in proptest::collection::vec(arb_search(4), 1..10)
+    ) {
+        let mut reused = Bfs::default();
+        for (g, sources) in &searches {
+            let fresh = Bfs::default().search(g, sources).to_vec();
+            prop_assert_eq!(reused.search(g, sources), &fresh[..]);
+        }
     }
 }

@@ -25,8 +25,9 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+use isomit_graph::traversal::Bfs;
 use isomit_graph::{NodeId, SignedDigraph};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Precision / recall / F1 triple for initiator-identity evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,8 +166,8 @@ pub fn evaluate_detection(
 ///
 /// Returns `None` when either side is empty or no detected node can
 /// reach a true initiator (disconnected snapshot regions). Distances are
-/// computed on the undirected view via one multi-source BFS from the
-/// truth set, `O(n + m)`.
+/// computed on the undirected view via one multi-source
+/// [`Bfs`] from the truth set, `O(n + m)`.
 ///
 /// # Panics
 ///
@@ -179,29 +180,15 @@ pub fn mean_detection_distance(
     if detected.is_empty() || truth.is_empty() {
         return None;
     }
-    let mut dist: Vec<Option<usize>> = vec![None; graph.node_count()];
-    let mut queue = VecDeque::new();
-    for &t in truth {
-        assert!(graph.contains(t), "truth node {t} out of bounds");
-        if dist[t.index()].is_none() {
-            dist[t.index()] = Some(0);
-            queue.push_back(t);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u.index()].expect("queued nodes have distances");
-        for &v in graph.out_neighbors(u).iter().chain(graph.in_neighbors(u)) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(d + 1);
-                queue.push_back(v);
-            }
-        }
+    let mut dist: Vec<Option<u32>> = vec![None; graph.node_count()];
+    for visit in Bfs::default().search(graph, truth) {
+        dist[visit.node.index()] = Some(visit.depth);
     }
     let reached: Vec<f64> = detected
         .iter()
         .filter_map(|&v| {
             assert!(graph.contains(v), "detected node {v} out of bounds");
-            dist[v.index()].map(|d| d as f64)
+            dist[v.index()].map(f64::from)
         })
         .collect();
     if reached.is_empty() {

@@ -990,6 +990,36 @@ fn snapshots_naming_more_nodes_than_they_list_are_refused_without_allocating() {
 }
 
 #[test]
+fn deeply_nested_lines_are_refused_and_the_daemon_lives_on() {
+    // 100,000 nested brackets in a 200 KB line used to overflow the
+    // stack of the thread parsing them and abort the daemon. The reader
+    // refuses nesting past 128 levels, on the scanner's bracket-depth
+    // skip of a `snapshot` too.
+    let daemon = Daemon::spawn(&[]);
+    let mut raw = daemon.raw();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
+    let mut exchange = |line: &str| -> String {
+        raw.write_all(line.as_bytes()).expect("write");
+        raw.write_all(b"\n").expect("write newline");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    for line in [
+        deep.clone(),
+        format!(r#"{{"id":6,"type":"rid","snapshot":{deep}}}"#),
+    ] {
+        let reply = exchange(&line);
+        assert!(reply.contains("bad_request"), "{reply}");
+        assert!(reply.contains("nesting deeper than 128 levels"), "{reply}");
+    }
+    let reply = exchange(r#"{"id":7,"type":"health"}"#);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    daemon.client().shutdown().expect("shutdown");
+}
+
+#[test]
 fn cached_answers_are_not_served_to_malformed_by_fingerprint_lines() {
     let daemon = Daemon::spawn(&[]);
     let mut client = daemon.client();
