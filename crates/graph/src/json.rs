@@ -207,7 +207,7 @@ fn write_number(n: f64, out: &mut String) {
         // The parser reads an overflowing literal as infinity, so this
         // keeps `parse(to_json(v)) == v` where `{:?}` would write `inf`.
         out.push_str(if n > 0.0 { "1e999" } else { "-1e999" });
-    } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+    } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
         write!(out, "{}", n as i64).expect("writing to String cannot fail");
     } else {
         // `{:?}` is Rust's shortest representation that parses back to

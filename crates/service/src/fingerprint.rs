@@ -7,12 +7,13 @@
 //! already round-trips every field bit-exactly, so hashing those bytes
 //! with FNV-1a gives all three without a new serialization path.
 //!
-//! The server computes each request's key once, on the io thread:
-//! [`fingerprint_bytes`] over the raw snapshot span when the line
-//! frames (a canonical client's span *is* the canonical encoding), and
-//! [`snapshot_fingerprint`] when only the parsed snapshot exists. That
-//! key routes the request and keys the shard's artifact and result
-//! caches.
+//! The server computes each `rid` request's key once, on the io
+//! thread: [`fingerprint_bytes`] over the raw snapshot span (a
+//! canonical client's span *is* the canonical encoding). That key
+//! routes the request and keys the shard's artifact and result caches.
+//! [`snapshot_fingerprint`] is the same key for callers that hold a
+//! decoded snapshot and no request bytes: watch-session adoption,
+//! library callers of the engine, and clients that ask by fingerprint.
 
 use isomit_diffusion::InfectedNetwork;
 

@@ -1,54 +1,131 @@
-//! Zero-copy request framing for the sharded server's io thread.
+//! The one reading of a request line.
 //!
-//! [`scan`] walks one request line and returns the byte spans of the
-//! top-level fields the router needs — `id`, `type`, and the routing
-//! keys (`fingerprint`, `snapshot`, `config`, `detector`, `seeds`) —
-//! **without materializing a JSON value**. The io thread routes on
-//! those spans: it rendezvous-hashes the raw snapshot bytes and hands
-//! the line to the shard worker, which decodes the spans
-//! ([`crate::protocol::decode_framed_rid`]), or answers a
-//! by-fingerprint cache hit inline.
+//! One walk reads a line, with the one JSON lexer
+//! ([`isomit_graph::json::Reader`]). It reads the `id` (by
+//! [`Value::as_u64`]'s rule) and the `type`, and records the byte span
+//! of every other protocol field: `snapshot`, `fingerprint`, `config`,
+//! `detector`, `seeds`, `runs`, `seed`, `answer_every` and `delta`. Keys
+//! are decoded, escapes included; the first occurrence of a key is kept
+//! and later ones are validated and ignored, as [`Value::get`] reads a
+//! parsed object. Every request is decoded from what the walk recorded
+//! ([`crate::protocol`]), so no second parser has to agree with this
+//! one.
 //!
-//! The scanner walks the line with the one JSON lexer,
-//! [`isomit_graph::json::Reader`], and validates every value it skips
-//! or returns, except the `snapshot` span: that is skipped by bracket
-//! depth alone, and the worker's decoder validates it. So a line the
-//! scanner accepts is valid JSON wherever the full parser would look,
-//! apart from the snapshot.
-//!
-//! The scanner is deliberately strict: *any* anomaly — malformed JSON,
-//! an id that is not digits-only or exceeds 2^53, an escaped key or
-//! `type` string, a duplicated tracked key — yields `None`, and the
-//! caller takes the slow path, [`crate::protocol::parse_request`],
-//! whose structured errors are the protocol's source of truth.
-//!
-//! For canonical clients (ours) the snapshot span is exactly the bytes
-//! of `InfectedNetwork::to_json_string`, so FNV-1a over the span equals
-//! [`crate::fingerprint::snapshot_fingerprint`]. That span hash is the
+//! Every value is validated, except that the io thread's walk skips the
+//! first `snapshot` by bracket depth alone and hands the span on: the
+//! shard worker's decoder validates it. FNV-1a over that span is the
 //! request's one key: the router, the artifact cache and the result
-//! cache agree on snapshot identity without encoding anything.
+//! cache agree on snapshot identity without decoding anything. For
+//! canonical clients (ours) the span is exactly the bytes of
+//! `InfectedNetwork::to_json_string`, so its hash equals
+//! [`crate::fingerprint::snapshot_fingerprint`].
+//!
+//! [`scan`] gives the same reading, as a [`Frame`], to tools outside the
+//! crate that route or replay request lines.
 
-use isomit_graph::json::Reader;
+use isomit_graph::json::{JsonError, Reader, Value};
 use std::borrow::Cow;
 
-/// The largest id the scanner passes on: above 2^53 the full parser
-/// rounds the id to an `f64`, so it decides.
-const MAX_EXACT_ID: u64 = 1 << 53;
+/// The top-level fields of one request line, as [`walk`] read them:
+/// the `id` and `type`, and the span of the first occurrence of every
+/// other protocol field.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Fields<'a> {
+    /// The first `id`, when it is a number [`Value::as_u64`] accepts.
+    pub(crate) id: Option<u64>,
+    /// The first `type`, when it is a string, escapes decoded.
+    pub(crate) verb: Option<Cow<'a, str>>,
+    pub(crate) snapshot: Option<&'a str>,
+    pub(crate) fingerprint: Option<&'a str>,
+    pub(crate) config: Option<&'a str>,
+    pub(crate) detector: Option<&'a str>,
+    pub(crate) seeds: Option<&'a str>,
+    pub(crate) runs: Option<&'a str>,
+    pub(crate) seed: Option<&'a str>,
+    pub(crate) answer_every: Option<&'a str>,
+    pub(crate) delta: Option<&'a str>,
+}
 
-/// Byte spans of the routed top-level fields of one request line.
+/// Walks `line` once and records its fields. With `check_snapshot`
+/// false, the first `snapshot` value is skipped by bracket depth and
+/// not validated; its nesting still counts from the line's root.
+///
+/// # Errors
+///
+/// Returns the [`JsonError`] [`Value::parse`] gives the line when it is
+/// malformed. With `check_snapshot` false, a line whose snapshot alone
+/// is malformed may pass, or fail at a later byte.
+pub(crate) fn walk(line: &str, check_snapshot: bool) -> Result<Fields<'_>, JsonError> {
+    let mut reader = Reader::new(line);
+    let mut fields = Fields::default();
+    // The first `id` and `type`, whatever they hold.
+    let (mut id, mut verb) = (None, None);
+    if let Some(mut members) = reader.read_object()? {
+        while let Some(key) = members.next_key(&mut reader)? {
+            let slot = match &*key {
+                "id" if id.is_none() => {
+                    id = Some(
+                        reader
+                            .read_number()?
+                            .and_then(|n| Value::Number(n).as_u64()),
+                    );
+                    continue;
+                }
+                "type" if verb.is_none() => {
+                    verb = Some(reader.read_string()?);
+                    continue;
+                }
+                "snapshot" => &mut fields.snapshot,
+                "fingerprint" => &mut fields.fingerprint,
+                "config" => &mut fields.config,
+                "detector" => &mut fields.detector,
+                "seeds" => &mut fields.seeds,
+                "runs" => &mut fields.runs,
+                "seed" => &mut fields.seed,
+                "answer_every" => &mut fields.answer_every,
+                "delta" => &mut fields.delta,
+                _ => {
+                    reader.skip()?;
+                    continue;
+                }
+            };
+            let start = reader.offset();
+            if slot.is_none() && key == "snapshot" && !check_snapshot {
+                reader.skip_unchecked()?;
+            } else {
+                reader.skip()?;
+            }
+            if slot.is_none() {
+                *slot = line.get(start..reader.offset());
+            }
+        }
+    }
+    reader.finish()?;
+    fields.id = id.flatten();
+    fields.verb = verb.flatten();
+    Ok(fields)
+}
+
+/// The string a validated span holds, escapes decoded; `None` for any
+/// other value.
+pub(crate) fn string(span: &str) -> Option<Cow<'_, str>> {
+    Reader::new(span).read_string().ok().flatten()
+}
+
+/// The routed fields of one request line, as [`scan`] reads them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<'a> {
-    /// The correlation id (digits-only and at most 2^53; `12.0` falls
-    /// back).
+    /// The correlation id, read by [`Value::as_u64`]'s rule: an integral
+    /// number at most 2^53 once rounded to `f64`, so `12.0` and `12e0`
+    /// read as 12.
     pub id: u64,
-    /// The raw `type` label, e.g. `"rid"`.
-    pub verb: &'a str,
+    /// The `type` string, escapes decoded, e.g. `rid`.
+    pub verb: Cow<'a, str>,
     /// Span of the `snapshot` value, when present. The only span the
-    /// scanner does not validate.
+    /// walk does not validate.
     pub snapshot: Option<&'a str>,
-    /// Span of the `fingerprint` value *without quotes*, when present
-    /// and a simple string.
-    pub fingerprint: Option<&'a str>,
+    /// The `fingerprint` string, escapes decoded, when present.
+    pub fingerprint: Option<Cow<'a, str>>,
     /// Span of the `config` value, when present.
     pub config: Option<&'a str>,
     /// Span of the `detector` value, when present.
@@ -57,88 +134,30 @@ pub struct Frame<'a> {
     pub seeds: Option<&'a str>,
 }
 
-/// Scans `line` for the routed fields. Returns `None` on any anomaly;
-/// the caller must then run the full parser for structured errors.
+/// Reads `line` as the io thread does. Returns `None` when the line is
+/// malformed JSON outside the snapshot, or its `id`, `type` or
+/// `fingerprint` is not of the kind [`Frame`] holds.
 pub fn scan(line: &str) -> Option<Frame<'_>> {
-    let mut reader = Reader::new(line);
-    let mut fields = reader.read_object().ok()??;
-
-    let mut id: Option<u64> = None;
-    let mut verb: Option<&str> = None;
-    let mut snapshot: Option<&str> = None;
-    let mut fingerprint: Option<&str> = None;
-    let mut config: Option<&str> = None;
-    let mut detector: Option<&str> = None;
-    let mut seeds: Option<&str> = None;
-
-    while let Some(key) = fields.next_key(&mut reader).ok()? {
-        // The full parser decodes escaped keys (`snap\u0073hot` is
-        // `snapshot`), so their raw bytes could name the wrong field.
-        let Cow::Borrowed(key) = key else {
-            return None;
-        };
-        let start = reader.offset();
-        if key == "snapshot" {
-            reader.skip_unchecked().ok()?;
-        } else {
-            reader.skip().ok()?;
-        }
-        let span = line.get(start..reader.offset())?;
-        match key {
-            "id" => set_once(&mut id, parse_digits(span)?)?,
-            "type" => set_once(&mut verb, unquote_simple(span)?)?,
-            "snapshot" => set_once(&mut snapshot, span)?,
-            "fingerprint" => set_once(&mut fingerprint, unquote_simple(span)?)?,
-            "config" => set_once(&mut config, span)?,
-            "detector" => set_once(&mut detector, span)?,
-            "seeds" => set_once(&mut seeds, span)?,
-            _ => {}
-        }
-    }
-    reader.finish().ok()?;
+    let fields = walk(line, false).ok()?;
+    let fingerprint = match fields.fingerprint {
+        Some(span) => Some(string(span)?),
+        None => None,
+    };
     Some(Frame {
-        id: id?,
-        verb: verb?,
-        snapshot,
+        id: fields.id?,
+        verb: fields.verb?,
+        snapshot: fields.snapshot,
         fingerprint,
-        config,
-        detector,
-        seeds,
+        config: fields.config,
+        detector: fields.detector,
+        seeds: fields.seeds,
     })
-}
-
-/// Stores `value` into an empty slot; a duplicated tracked key is an
-/// anomaly (the full parser's duplicate-key policy must decide).
-fn set_once<T>(slot: &mut Option<T>, value: T) -> Option<()> {
-    if slot.is_some() {
-        return None;
-    }
-    *slot = Some(value);
-    Some(())
-}
-
-/// Digits-only u64 up to 2^53 (rejects signs, exponents and floats,
-/// which the full parser may still accept, and ids it would round).
-fn parse_digits(span: &str) -> Option<u64> {
-    if span.is_empty() || !span.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    span.parse().ok().filter(|&id| id <= MAX_EXACT_ID)
-}
-
-/// Strips the quotes off a simple string span — one with no escapes.
-fn unquote_simple(span: &str) -> Option<&str> {
-    let inner = span.strip_prefix('"')?.strip_suffix('"')?;
-    if inner.contains(['"', '\\']) {
-        return None;
-    }
-    Some(inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_request, RequestBody};
+    use crate::protocol::{encode_request, parse_request, RequestBody};
     use isomit_diffusion::InfectedNetwork;
     use isomit_graph::{Edge, NodeId, NodeState, Sign, SignedDigraph};
 
@@ -180,7 +199,7 @@ mod tests {
         let line = r#"{"id": 3, "type": "rid", "fingerprint": "16045690985374418957", "detector": "rid_tree", "config": {"alpha": 3}}"#;
         let frame = scan(line).expect("scans");
         assert_eq!(frame.id, 3);
-        assert_eq!(frame.fingerprint, Some("16045690985374418957"));
+        assert_eq!(frame.fingerprint.as_deref(), Some("16045690985374418957"));
         assert_eq!(frame.detector, Some(r#""rid_tree""#));
         assert_eq!(frame.config, Some(r#"{"alpha": 3}"#));
     }
@@ -194,30 +213,54 @@ mod tests {
     }
 
     #[test]
-    fn anomalies_fall_back_to_the_full_parser() {
+    fn only_lines_refused_for_their_json_or_id_do_not_frame() {
         for line in [
             "this is not json",
             "",
             "{}",
-            r#"{"type": "health"}"#,                   // no id
-            r#"{"id": 1.5, "type": "health"}"#,        // non-integer id
-            r#"{"id": -1, "type": "health"}"#,         // negative id
-            r#"{"id": 1, "type": "heal\th"}"#,         // escaped verb
-            r#"{"id": 1, "type": "health""#,           // truncated
-            r#"{"id": 1, "id": 2, "type": "health"}"#, // duplicate key
-            r#"{"id": 1, "type": "rid", "snap\u0073hot": {}, "snapshot": {}}"#, // escaped key
-            r#"{"id": 1, "type": "health"} trailing"#, // trailing junk
-            r#"{"id": 1, "type": "rid", "fingerprint": 42}"#, // numeric fp
-            r#"{"id": 9007199254740993, "type": "health"}"#, // id above 2^53
+            r#"{"type": "health"}"#,                             // no id
+            r#"{"id": 1.5, "type": "health"}"#,                  // non-integer id
+            r#"{"id": -1, "type": "health"}"#,                   // negative id
+            r#"{"id": 1, "type": "health""#,                     // truncated
+            r#"{"id": 1, "type": "health"} trailing"#,           // trailing junk
             r#"{"id": 18446744073709551615, "type": "health"}"#, // u64::MAX id
-            r#"{"id": 1, "type": "health", "x": nul}"#, // malformed literal
-            r#"{"id": 1, "type": "health", "x": [1,]}"#, // trailing comma
-            r#"{"id": 1, "type": "health", "x": "\q"}"#, // unknown escape
-            r#"{"id": 1, "type": "rid", "config": {"a" 1}}"#, // malformed config
-            "{\"id\": 1\u{b}, \"type\": \"health\"}",  // not JSON whitespace
+            r#"{"id": 1, "type": "health", "x": nul}"#,          // malformed literal
+            r#"{"id": 1, "type": "health", "x": [1,]}"#,         // trailing comma
+            r#"{"id": 1, "type": "health", "x": "\q"}"#,         // unknown escape
+            r#"{"id": 1, "type": "rid", "config": {"a" 1}}"#,    // malformed config
+            "{\"id\": 1\u{b}, \"type\": \"health\"}",            // not JSON whitespace
         ] {
             assert_eq!(scan(line), None, "line: {line}");
+            assert_eq!(
+                parse_request(line).map_err(|(id, _)| id),
+                Err(None),
+                "{line}"
+            );
         }
+        // A numeric fingerprint has no string for the frame to hold, and
+        // the parser refuses it.
+        let line = r#"{"id": 1, "type": "rid", "fingerprint": 42}"#;
+        assert_eq!(scan(line), None);
+        assert!(parse_request(line).is_err());
+
+        // The rest read as the parser reads them: escapes decoded, the
+        // first occurrence of a key kept, ids rounded as by its `f64`.
+        let frame = scan(r#"{"id": 1, "type": "heal\th"}"#).expect("escaped verb");
+        assert_eq!(frame.verb, "heal\th");
+        let frame = scan(r#"{"id": 1, "id": 2, "type": "health"}"#).expect("duplicate key");
+        assert_eq!(frame.id, 1);
+        let line = r#"{"id": 1, "type": "rid", "snap\u0073hot": {}, "snapshot": {}}"#;
+        let snapshot = scan(line).expect("escaped key").snapshot.expect("a span");
+        let offset = snapshot.as_ptr() as usize - line.as_ptr() as usize;
+        assert_eq!(offset, line.find("{}").unwrap(), "the escaped key's value");
+        let line = r#"{"id": 9007199254740993, "type": "health"}"#;
+        assert_eq!(scan(line).expect("id above 2^53").id, 1 << 53);
+        for id in ["5.0", "5e0", "50e-1"] {
+            let line = format!(r#"{{"id": {id}, "type": "health"}}"#);
+            assert_eq!(scan(&line).map(|f| f.id), Some(5), "{line}");
+        }
+        let line = r#"{"id": 2, "type": "rid", "fingerprint": "\u0034\u0032"}"#;
+        assert_eq!(scan(line).unwrap().fingerprint.as_deref(), Some("42"));
     }
 
     #[test]
@@ -228,13 +271,19 @@ mod tests {
 
     #[test]
     fn the_snapshot_span_is_left_to_the_worker() {
-        // Malformed inside, but bracket-balanced: the scanner passes it
-        // on, and the worker's decoder refuses it.
+        // Malformed inside, but bracket-balanced: the walk passes it on,
+        // and the worker's decoder refuses it.
         let line = r#"{"id": 2, "type": "rid", "snapshot": {"graph": [1,], "x": nul}}"#;
         let frame = scan(line).expect("scans");
         assert_eq!(frame.snapshot, Some(r#"{"graph": [1,], "x": nul}"#));
+        assert!(walk(line, true).is_err());
         assert_eq!(
             scan(r#"{"id": 2, "type": "rid", "snapshot": {"a": [}"#),
+            None
+        );
+        // A second snapshot is validated like any other value.
+        assert_eq!(
+            scan(r#"{"id": 2, "type": "rid", "snapshot": {}, "snapshot": [1,]}"#),
             None
         );
     }

@@ -28,10 +28,12 @@
 //!   their owning shard. Per-request deadlines and graceful
 //!   drain-on-shutdown carry over from the single-queue design; the
 //!   wire protocol is byte-compatible with it.
-//! * [`framing`] — zero-copy request scanner the io thread routes with:
-//!   borrows the verb and key spans straight out of the request line so
-//!   cache-hit fast paths never materialize a JSON value, and falls
-//!   back to the full [`protocol`] parser on any anomaly.
+//! * [`framing`] — the one reading of a request line: a single walk
+//!   that reads the `id` and `type` and records the byte span of every
+//!   other protocol field, which the io thread routes on and
+//!   [`protocol`] decodes every request from. A
+//!   full-form `rid`'s snapshot span is hashed, not decoded, on the io
+//!   thread.
 //! * [`Client`] — blocking client library used by `isomit-cli`, the
 //!   `service_load` generator, and the end-to-end tests; speaks both
 //!   the full-snapshot and the by-fingerprint request forms.

@@ -15,7 +15,14 @@
 //! and `watch_close` (see `docs/PROTOCOL.md` for the session state
 //! machine). Everything is built on the in-repo [`isomit_graph::json`]
 //! codec, so floating-point payloads survive the wire bit-exactly.
+//!
+//! A request line is read once, by the walk in [`crate::framing`], and
+//! decoded from the spans of its fields: [`parse_request`] on a whole
+//! line, [`decode_framed_rid`] on a shard worker for a full-form `rid`
+//! the io thread routed undecoded. Both give the same errors, with the
+//! same messages, in the same order.
 
+use crate::framing::{self, Fields};
 use isomit_core::{RidConfig, RidDelta};
 use isomit_detectors::DetectorKind;
 use isomit_diffusion::{DiffusionError, InfectedNetwork, SeedSet};
@@ -310,201 +317,187 @@ pub fn encode_request(id: u64, body: &RequestBody) -> String {
     Value::Object(fields).to_json()
 }
 
-/// Parses a request line.
+/// Parses a request line: one walk of the line
+/// ([`crate::framing`]) that validates every value, then the request
+/// decoded from the spans of its fields.
 ///
 /// # Errors
 ///
 /// On failure returns the request id if one could be recovered (so the
 /// server can still address its error reply) plus a
-/// [`ErrorKind::BadRequest`] wire error.
+/// [`ErrorKind::BadRequest`] wire error (or
+/// [`ErrorKind::UnknownDetector`]). The checks run in a fixed order:
+/// the JSON, the `id`, the `type`, then the verb's fields.
 pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, WireError)> {
-    let bad =
-        |id: Option<u64>, message: String| (id, WireError::new(ErrorKind::BadRequest, message));
-    let doc = Value::parse(line).map_err(|e| bad(None, format!("invalid JSON: {e}")))?;
-    let id = doc.get("id").and_then(Value::as_u64);
-    let Some(id) = id else {
-        return Err(bad(None, "`id` must be a non-negative integer".to_owned()));
-    };
-    let type_label = doc
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad(Some(id), "`type` must be a string".to_owned()))?;
-    let body =
-        match type_label {
-            "health" => RequestBody::Health,
-            "stats" => RequestBody::Stats,
-            "shutdown" => RequestBody::Shutdown,
-            "rid" => {
-                let config = match doc.get("config") {
-                    None => None,
-                    Some(v) => Some(
-                        RidConfig::from_json_value(v)
-                            .map_err(|e| bad(Some(id), format!("invalid config: {e}")))?,
-                    ),
-                };
-                let detector = match doc.get("detector") {
-                    None => None,
-                    Some(v) => {
-                        let label = v.as_str().ok_or_else(|| {
-                            bad(Some(id), "`detector` must be a string".to_owned())
-                        })?;
-                        Some(DetectorKind::from_label(label).map_err(|_| {
-                            (
-                                Some(id),
-                                WireError {
-                                    kind: ErrorKind::UnknownDetector,
-                                    message: format!(
-                                        "unknown detector `{label}` (known: {})",
-                                        DetectorKind::known_labels().join(", ")
-                                    ),
-                                    detail: Some(Value::Object(vec![(
-                                        "known".into(),
-                                        Value::Array(
-                                            DetectorKind::known_labels()
-                                                .into_iter()
-                                                .map(|l| Value::String(l.into()))
-                                                .collect(),
-                                        ),
-                                    )])),
-                                },
-                            )
-                        })?)
-                    }
-                };
-                if let Some(fp) = doc.get("fingerprint") {
-                    let fingerprint =
-                        fp.as_str()
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| {
-                                bad(
-                                    Some(id),
-                                    "`fingerprint` must be a decimal u64 carried as a string"
-                                        .to_owned(),
-                                )
-                            })?;
-                    RequestBody::RidByFingerprint {
-                        fingerprint,
-                        config,
-                        detector,
-                    }
-                } else {
-                    let snapshot_value = doc
-                        .require("snapshot")
-                        .map_err(|e| bad(Some(id), e.to_string()))?;
-                    // Lines the scanner refuses come here; framed ones
-                    // are decoded from their spans by
-                    // `decode_framed_rid`. Both paths run one decoder.
-                    let snapshot = InfectedNetwork::from_json_str(&snapshot_value.to_json())
-                        .map_err(|e| bad(Some(id), format!("invalid snapshot: {e}")))?;
-                    RequestBody::Rid {
-                        snapshot: Box::new(snapshot),
-                        config,
-                        detector,
-                    }
-                }
-            }
-            "simulate" => {
-                let seeds_value = doc
-                    .require("seeds")
-                    .map_err(|e| bad(Some(id), e.to_string()))?;
-                let seeds = SeedSet::from_json_value(seeds_value)
-                    .map_err(|e| bad(Some(id), format!("invalid seeds: {e}")))?;
-                let runs = doc.get("runs").and_then(Value::as_usize).ok_or_else(|| {
-                    bad(Some(id), "`runs` must be a non-negative integer".to_owned())
-                })?;
-                let seed = doc.get("seed").and_then(Value::as_u64).ok_or_else(|| {
-                    bad(Some(id), "`seed` must be a non-negative integer".to_owned())
-                })?;
-                RequestBody::Simulate { seeds, runs, seed }
-            }
-            "watch_open" => {
-                let config = match doc.get("config") {
-                    None => None,
-                    Some(v) => Some(
-                        RidConfig::from_json_value(v)
-                            .map_err(|e| bad(Some(id), format!("invalid config: {e}")))?,
-                    ),
-                };
-                let answer_every = match doc.get("answer_every") {
-                    None => None,
-                    Some(v) => {
-                        let every = v.as_u64().ok_or_else(|| {
-                            bad(
-                                Some(id),
-                                "`answer_every` must be a positive integer".to_owned(),
-                            )
-                        })?;
-                        if every == 0 {
-                            return Err(bad(
-                                Some(id),
-                                "`answer_every` must be a positive integer".to_owned(),
-                            ));
-                        }
-                        Some(every)
-                    }
-                };
-                RequestBody::WatchOpen {
-                    config,
-                    answer_every,
-                }
-            }
-            "watch_delta" => {
-                let delta_value = doc
-                    .require("delta")
-                    .map_err(|e| bad(Some(id), e.to_string()))?;
-                let delta = RidDelta::from_json_value(delta_value)
-                    .map_err(|e| bad(Some(id), format!("invalid delta: {e}")))?;
-                RequestBody::WatchDelta { delta }
-            }
-            "watch_close" => RequestBody::WatchClose,
-            other => {
-                return Err(bad(Some(id), format!("unknown request type `{other}`")));
-            }
-        };
+    let fields = framing::walk(line, true).map_err(|e| invalid_json(&e))?;
+    decode_request(&fields)
+}
+
+/// The error a line that is not valid JSON gets.
+pub(crate) fn invalid_json(error: &JsonError) -> (Option<u64>, WireError) {
+    (None, bad_request(format!("invalid JSON: {error}")))
+}
+
+fn bad_request(message: impl Into<String>) -> WireError {
+    WireError::new(ErrorKind::BadRequest, message)
+}
+
+/// Decodes the request whose fields a walk recorded. This is what
+/// [`parse_request`] gives the line when the walk validated the
+/// `snapshot` span or found none.
+pub(crate) fn decode_request(fields: &Fields<'_>) -> Result<Request, (Option<u64>, WireError)> {
+    let id = fields
+        .id
+        .ok_or_else(|| (None, bad_request("`id` must be a non-negative integer")))?;
+    let verb = fields
+        .verb
+        .as_deref()
+        .ok_or_else(|| (Some(id), bad_request("`type` must be a string")))?;
+    let body = decode_body(verb, fields).map_err(|error| (Some(id), error))?;
     Ok(Request { id, body })
 }
 
-/// Decodes a full-form `rid` line from the spans
-/// [`crate::framing::scan`] found in it: the snapshot straight to CSR,
-/// the config and detector as [`parse_request`] reads them. The line is
-/// not scanned again. On any decode failure this returns what
-/// [`parse_request`] returns for the whole line, so the full parser
-/// stays the source of truth for error replies.
+fn decode_body(verb: &str, fields: &Fields<'_>) -> Result<RequestBody, WireError> {
+    Ok(match verb {
+        "health" => RequestBody::Health,
+        "stats" => RequestBody::Stats,
+        "shutdown" => RequestBody::Shutdown,
+        "rid" => {
+            let config = decode_field(fields.config, "config", RidConfig::from_json_value)?;
+            let detector = decode_detector(fields.detector)?;
+            match fields.fingerprint {
+                Some(span) => RequestBody::RidByFingerprint {
+                    fingerprint: framing::string(span)
+                        .and_then(|s| s.parse::<u64>().ok())
+                        .ok_or_else(|| {
+                            bad_request("`fingerprint` must be a decimal u64 carried as a string")
+                        })?,
+                    config,
+                    detector,
+                },
+                None => RequestBody::Rid {
+                    snapshot: Box::new(decode_snapshot(
+                        fields.snapshot.ok_or_else(|| missing("snapshot"))?,
+                    )?),
+                    config,
+                    detector,
+                },
+            }
+        }
+        "simulate" => RequestBody::Simulate {
+            seeds: decode_field(fields.seeds, "seeds", SeedSet::from_json_value)?
+                .ok_or_else(|| missing("seeds"))?,
+            runs: fields
+                .runs
+                .and_then(parsed)
+                .and_then(|runs| runs.as_usize())
+                .ok_or_else(|| bad_request("`runs` must be a non-negative integer"))?,
+            seed: fields
+                .seed
+                .and_then(parsed)
+                .and_then(|seed| seed.as_u64())
+                .ok_or_else(|| bad_request("`seed` must be a non-negative integer"))?,
+        },
+        "watch_open" => RequestBody::WatchOpen {
+            config: decode_field(fields.config, "config", RidConfig::from_json_value)?,
+            answer_every: fields
+                .answer_every
+                .map(|span| {
+                    parsed(span)
+                        .and_then(|every| every.as_u64())
+                        .filter(|&every| every > 0)
+                        .ok_or_else(|| bad_request("`answer_every` must be a positive integer"))
+                })
+                .transpose()?,
+        },
+        "watch_delta" => RequestBody::WatchDelta {
+            delta: decode_field(fields.delta, "delta", RidDelta::from_json_value)?
+                .ok_or_else(|| missing("delta"))?,
+        },
+        "watch_close" => RequestBody::WatchClose,
+        other => return Err(bad_request(format!("unknown request type `{other}`"))),
+    })
+}
+
+fn parsed(span: &str) -> Option<Value> {
+    Value::parse(span).ok()
+}
+
+fn missing(field: &str) -> WireError {
+    bad_request(JsonError::missing(field).to_string())
+}
+
+/// A field decoded from its span by `codec`, when the request has it.
+fn decode_field<T>(
+    span: Option<&str>,
+    field: &str,
+    codec: impl FnOnce(&Value) -> Result<T, JsonError>,
+) -> Result<Option<T>, WireError> {
+    span.map(|span| {
+        Value::parse(span)
+            .and_then(|value| codec(&value))
+            .map_err(|e| bad_request(format!("invalid {field}: {e}")))
+    })
+    .transpose()
+}
+
+fn decode_detector(span: Option<&str>) -> Result<Option<DetectorKind>, WireError> {
+    let Some(span) = span else {
+        return Ok(None);
+    };
+    let label = framing::string(span).ok_or_else(|| bad_request("`detector` must be a string"))?;
+    let kind = DetectorKind::from_label(&label).map_err(|_| WireError {
+        kind: ErrorKind::UnknownDetector,
+        message: format!(
+            "unknown detector `{label}` (known: {})",
+            DetectorKind::known_labels().join(", ")
+        ),
+        detail: Some(Value::Object(vec![(
+            "known".into(),
+            Value::Array(
+                DetectorKind::known_labels()
+                    .into_iter()
+                    .map(|l| Value::String(l.into()))
+                    .collect(),
+            ),
+        )])),
+    })?;
+    Ok(Some(kind))
+}
+
+fn decode_snapshot(span: &str) -> Result<InfectedNetwork, WireError> {
+    InfectedNetwork::from_json_str(span).map_err(|e| bad_request(format!("invalid snapshot: {e}")))
+}
+
+/// A full-form `rid` request as the shard worker decodes it: the
+/// snapshot, then the optional config and detector.
+pub type RidParts = (InfectedNetwork, Option<RidConfig>, Option<DetectorKind>);
+
+/// Decodes a full-form `rid` line on the shard worker, from the spans
+/// the io thread's walk recorded in it (the spans [`crate::framing::scan`]
+/// reports): the config and detector as [`parse_request`] reads them,
+/// then the snapshot straight to CSR. The line is walked again only
+/// when the decode fails.
 ///
 /// # Errors
 ///
-/// The error of [`parse_request`] on the line.
+/// The error [`parse_request`] gives the line.
 pub fn decode_framed_rid(
     line: &str,
     snapshot: &str,
     config: Option<&str>,
     detector: Option<&str>,
-) -> Result<RequestBody, (Option<u64>, WireError)> {
-    match rid_from_spans(snapshot, config, detector) {
-        Some(body) => Ok(body),
-        None => parse_request(line).map(|request| request.body),
-    }
-}
-
-/// The `rid` body the spans decode to, or `None` on any failure.
-pub(crate) fn rid_from_spans(
-    snapshot: &str,
-    config: Option<&str>,
-    detector: Option<&str>,
-) -> Option<RequestBody> {
-    let config = match config {
-        None => None,
-        Some(span) => Some(RidConfig::from_json_value(&Value::parse(span).ok()?).ok()?),
-    };
-    let detector = match detector {
-        None => None,
-        Some(span) => Some(DetectorKind::from_label(Value::parse(span).ok()?.as_str()?).ok()?),
-    };
-    let snapshot = InfectedNetwork::from_json_str(snapshot).ok()?;
-    Some(RequestBody::Rid {
-        snapshot: Box::new(snapshot),
-        config,
-        detector,
+) -> Result<RidParts, (Option<u64>, WireError)> {
+    let decoded = decode_field(config, "config", RidConfig::from_json_value).and_then(|config| {
+        let detector = decode_detector(detector)?;
+        Ok((decode_snapshot(snapshot)?, config, detector))
+    });
+    decoded.map_err(|error| match framing::walk(line, true) {
+        // The io thread's walk left the snapshot unchecked: a JSON error
+        // inside it is the parser's first error.
+        Err(json) => invalid_json(&json),
+        // Otherwise the parser decodes these spans, in this order.
+        Ok(fields) => (fields.id, error),
     })
 }
 
@@ -806,106 +799,16 @@ mod tests {
         }
     }
 
-    /// `line` after one to three random one-character edits drawn
-    /// from JSON structure, number and literal characters.
-    fn mutate(line: &str, rng: &mut rand::rngs::StdRng) -> String {
-        use rand::Rng;
-        const ALPHABET: &[char] = &[
-            '{', '}', '[', ']', ',', ':', '"', ' ', '\\', '0', '1', '3', '9', '-', '.', 'e', 'n',
-            'u', 'l', 't', 'r', 'x', '+', '?',
-        ];
-        let mut chars: Vec<char> = line.chars().collect();
-        for _ in 0..rng.gen_range(1..=3usize) {
-            let at = rng.gen_range(0..=chars.len());
-            let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
-            match rng.gen_range(0..3usize) {
-                0 if at < chars.len() => chars[at] = c,
-                1 if at < chars.len() => {
-                    chars.remove(at);
-                }
-                _ => chars.insert(at, c),
-            }
-        }
-        chars.into_iter().collect()
-    }
-
     #[test]
-    fn framed_rid_lines_decode_exactly_as_the_full_parser_reads_them() {
-        use crate::framing::scan;
-        use rand::SeedableRng;
-        let full = |id: u64, config, detector| {
-            encode_request(
-                id,
-                &RequestBody::Rid {
-                    snapshot: Box::new(snapshot()),
-                    config,
-                    detector,
-                },
-            )
-        };
-        let plain = full(7, None, None);
-        let near_limit = plain.replacen("\"id\":7", "\"id\":9007199254740992", 1);
-        let bases = [
-            plain.clone(),
-            full(8, Some(RidConfig::default()), None),
-            full(9, None, Some(DetectorKind::RidTree)),
-            full(
-                10,
-                Some(RidConfig::default()),
-                Some(DetectorKind::JordanCenter),
-            ),
-            near_limit.clone(),
-            near_limit.replacen("992", "991", 1),
-            plain.replacen("\"type\"", "\"x\":[1,{\"y\":null},\"s\"],\"type\"", 1),
-            plain.replacen('}', r#"},"extra":{"graph":0}"#, 1),
-            r#"{"id":11,"type":"rid","fingerprint":"42","note":[true,-1.5e3]}"#.to_owned(),
-        ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
-        let (mut framed, mut decoded) = (0usize, 0usize);
-        for case in 0..20_000 {
-            let line = mutate(&bases[case % bases.len()], &mut rng);
-            let Some(frame) = scan(&line).filter(|f| f.verb == "rid") else {
-                continue;
-            };
-            framed += 1;
-            let parsed = parse_request(&line);
-            match (frame.fingerprint, frame.snapshot) {
-                (None, Some(span)) => match rid_from_spans(span, frame.config, frame.detector) {
-                    Some(body) => {
-                        decoded += 1;
-                        assert_eq!(parsed, Ok(Request { id: frame.id, body }), "{line}");
-                    }
-                    None => {
-                        let (id, error) = parsed.expect_err(&line);
-                        let (fallback_id, fallback) =
-                            decode_framed_rid(&line, span, frame.config, frame.detector)
-                                .expect_err(&line);
-                        assert_eq!(
-                            error_line(fallback_id, &fallback),
-                            error_line(id, &error),
-                            "{line}"
-                        );
-                    }
-                },
-                // What the by-fingerprint fast path answers from the
-                // cache: the full parser must accept it too.
-                (Some(fp), None) if frame.config.is_none() && frame.detector.is_none() => {
-                    if let Ok(fingerprint) = fp.parse::<u64>() {
-                        let body = RequestBody::RidByFingerprint {
-                            fingerprint,
-                            config: None,
-                            detector: None,
-                        };
-                        assert_eq!(parsed, Ok(Request { id: frame.id, body }), "{line}");
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(
-            decoded > 500 && framed > decoded,
-            "{framed} framed, {decoded} decoded"
+    fn every_reply_echoes_id_two_to_the_53_as_an_integer() {
+        let id = 1u64 << 53;
+        let payload = Value::Object(vec![("x".into(), Value::Number(1.0))]);
+        assert_eq!(
+            ok_line(id, payload.clone()),
+            ok_line_raw(id, &payload.to_json())
         );
+        let error = error_line(Some(id), &WireError::new(ErrorKind::BadRequest, "x"));
+        assert!(error.starts_with("{\"id\":9007199254740992,"), "{error}");
     }
 
     #[test]

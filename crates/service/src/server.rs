@@ -6,17 +6,15 @@
 //! * **the io thread** owns the nonblocking listener and every
 //!   connection. It polls the listener and sweeps its connections for
 //!   readable data, splits complete lines (resuming each newline search
-//!   where the last sweep stopped), frames them with the zero-copy
-//!   [`crate::framing`] scanner, and routes. `health` / `stats` /
-//!   `shutdown` are answered inline (they must stay responsive under
-//!   load), and by-fingerprint `rid` requests that hit a shard's
-//!   serialized-result cache are answered inline without materializing
-//!   any JSON. A framed full-form `rid` is only hashed and routed: its
-//!   owned line and span offsets go to the owning shard, whose worker
-//!   decodes the snapshot. Everything else — lines the scanner refuses,
-//!   the other verbs, by-fingerprint misses — is parsed by the full
-//!   parser and enqueued on its owning shard. Every job's clock starts
-//!   when its line is complete, before any decode. There is no
+//!   where the last sweep stopped), walks each line once
+//!   ([`crate::framing`]), and routes. A full-form `rid` is only hashed
+//!   and routed: its owned line and span offsets go to the owning
+//!   shard, whose worker decodes it. Every other line is decoded from
+//!   its spans. `health` / `stats` / `shutdown` are answered inline
+//!   (they must stay responsive under load), and so are by-fingerprint
+//!   `rid` requests that hit a shard's serialized-result cache; the
+//!   other verbs are enqueued on their owning shard. Every job's clock
+//!   starts when its line is complete, before any decode. There is no
 //!   separate accept thread to poke at shutdown.
 //!   When a full sweep makes no progress the thread backs off (50 µs
 //!   doubling to 500 µs) instead of spinning — the workspace forbids
@@ -26,8 +24,8 @@
 //!   [`RidEngine`] sibling (shared network, private artifact cache,
 //!   private registry), a bounded admission queue, a serialized-result
 //!   cache, and exactly one worker thread. A `rid` request's snapshot
-//!   is fingerprinted once, on the io thread (over the raw span of a
-//!   framed line, so no decode is needed); that one key picks the
+//!   is fingerprinted once, on the io thread (over the raw snapshot
+//!   span, so no decode is needed); that one key picks the
 //!   shard (rendezvous hashing), keys the shard's artifact cache and
 //!   keys its result cache. One snapshot's traffic therefore always
 //!   lands on the same shard — its caches stay hot and shards never
@@ -51,11 +49,11 @@
 
 use crate::cache::{CacheMetrics, LruCache};
 use crate::engine::{EngineStats, RidEngine};
-use crate::fingerprint::{fingerprint_bytes, snapshot_fingerprint};
-use crate::framing::{self, Frame};
+use crate::fingerprint::fingerprint_bytes;
+use crate::framing::{self, Fields};
 use crate::protocol::{
-    decode_framed_rid, error_line, ok_line, ok_line_raw, parse_request, ErrorKind, Request,
-    RequestBody, WireError, PROTOCOL_VERSION,
+    decode_framed_rid, decode_request, error_line, invalid_json, ok_line, ok_line_raw,
+    parse_request, ErrorKind, Request, RequestBody, RidParts, WireError, PROTOCOL_VERSION,
 };
 use crate::queue::{BoundedQueue, PushError, QueueMetrics};
 use isomit_core::{IncrementalRid, RidConfig, RidDelta, RidError};
@@ -165,15 +163,19 @@ struct Job {
 }
 
 enum Work {
+    /// A full-form `rid`: the owned line and the spans the io thread's
+    /// walk found in it, which the worker decodes.
     Rid {
-        input: RidInput,
-        /// The snapshot fingerprint the io thread routed on; it also
+        line: String,
+        snapshot: Range<usize>,
+        config: Option<Range<usize>>,
+        detector: Option<Range<usize>>,
+        /// The snapshot span's hash the io thread routed on; it also
         /// keys the shard's artifact and result caches.
         fingerprint: u64,
-        /// Result-cache key half of the request's config and detector
-        /// spans, when the line framed; the answer is filed under
-        /// `(fingerprint, config_key)`.
-        config_key: Option<u64>,
+        /// Result-cache key half of the config and detector spans; the
+        /// answer is filed under `(fingerprint, config_key)`.
+        config_key: u64,
     },
     Simulate {
         seeds: SeedSet,
@@ -193,39 +195,6 @@ enum Work {
     /// io-side deadline expiry). Enqueued with `force_push`: cleanup is
     /// never shed.
     WatchCleanup,
-}
-
-/// What a `rid` job carries for the worker to detect on.
-enum RidInput {
-    /// A line the scanner framed, with its spans: the worker decodes
-    /// them, so the io thread never decodes a snapshot.
-    Framed {
-        line: String,
-        snapshot: Range<usize>,
-        config: Option<Range<usize>>,
-        detector: Option<Range<usize>>,
-    },
-    /// A [`RequestBody::Rid`] the full parser decoded on the io thread,
-    /// from a line the scanner refused.
-    Parsed(RequestBody),
-}
-
-impl RidInput {
-    /// The request body, or the full parser's error for the line.
-    fn decode(self) -> Result<RequestBody, (Option<u64>, WireError)> {
-        match self {
-            RidInput::Parsed(body) => Ok(body),
-            RidInput::Framed {
-                line,
-                snapshot,
-                config,
-                detector,
-            } => {
-                let span = |range: Range<usize>| line.get(range).unwrap_or_default();
-                decode_framed_rid(&line, span(snapshot), config.map(span), detector.map(span))
-            }
-        }
-    }
 }
 
 /// Byte range of `span` within `line`, which it borrows from.
@@ -703,68 +672,54 @@ fn handle_line(
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
 ) -> bool {
-    let frame = framing::scan(line);
-    if let Some(f) = frame.as_ref().filter(|f| f.verb == "rid") {
-        match (f.fingerprint, f.snapshot) {
-            // By-fingerprint fast path: route on the scanned spans and
-            // answer a result-cache hit inline, touching no JSON values
-            // at all. A line with a snapshot takes the full parser,
-            // since the scanner has not validated the snapshot.
-            (Some(fp), None) => {
-                if let Ok(fp) = fp.parse::<u64>() {
-                    let shard = shard_at(shared, rendezvous(fp, shared.shards.len()));
-                    let key = (fp, span_config_key(f.config, f.detector));
-                    let hit = shard.lock_results().get(&key);
-                    if let Some(payload) = hit {
-                        shard.rid_requests.inc();
-                        let alive = send(conn, ok_line_raw(f.id, &payload));
-                        shared.request_ns.record_duration(received.elapsed());
-                        return alive;
-                    }
-                }
-            }
-            // Full form: hash the span, route, and leave the decode to
-            // the shard worker.
-            (None, Some(snapshot)) => {
-                let fingerprint = fingerprint_bytes(snapshot.as_bytes());
-                let input = RidInput::Framed {
+    // The line's one walk leaves the snapshot span unchecked; when it
+    // fails, the checked walk names the error the parser names.
+    let fields = match framing::walk(line, false).or_else(|_| framing::walk(line, true)) {
+        Ok(fields) => fields,
+        Err(error) => {
+            let (id, error) = invalid_json(&error);
+            return send(conn, error_line(id, &error));
+        }
+    };
+    let request = match (fields.id, fields.fingerprint, fields.snapshot) {
+        // Full form: hash the span, route, and leave the decode to the
+        // shard worker.
+        (Some(id), None, Some(snapshot)) if fields.verb.as_deref() == Some("rid") => {
+            let fingerprint = fingerprint_bytes(snapshot.as_bytes());
+            let job = Job {
+                id,
+                received,
+                conn: Arc::clone(conn),
+                work: Work::Rid {
                     line: line.to_owned(),
                     snapshot: range_in(line, snapshot),
-                    config: f.config.map(|span| range_in(line, span)),
-                    detector: f.detector.map(|span| range_in(line, span)),
-                };
-                let job = Job {
-                    id: f.id,
-                    received,
-                    conn: Arc::clone(conn),
-                    work: Work::Rid {
-                        input,
-                        fingerprint,
-                        config_key: Some(span_config_key(f.config, f.detector)),
-                    },
-                };
-                return enqueue(
-                    rendezvous(fingerprint, shared.shards.len()),
-                    job,
-                    conn,
-                    shared,
-                );
-            }
-            _ => {}
+                    config: fields.config.map(|span| range_in(line, span)),
+                    detector: fields.detector.map(|span| range_in(line, span)),
+                    fingerprint,
+                    config_key: span_config_key(fields.config, fields.detector),
+                },
+            };
+            return enqueue(
+                rendezvous(fingerprint, shared.shards.len()),
+                job,
+                conn,
+                shared,
+            );
         }
-    }
-    // Lines the scanner refuses, the other verbs and by-fingerprint
-    // misses: the full parser owns validation and structured errors.
-    match parse_request(line) {
-        Ok(request) => serve_request(request, frame.as_ref(), received, conn, watch, shared),
+        // The parser reads the snapshot span the walk left unchecked.
+        (_, _, Some(_)) => parse_request(line),
+        (_, _, None) => decode_request(&fields),
+    };
+    match request {
+        Ok(request) => serve_request(request, &fields, received, conn, watch, shared),
         Err((id, error)) => send(conn, error_line(id, &error)),
     }
 }
 
-/// Handles one parsed request; returns `false` when the client is gone.
+/// Handles one decoded request; returns `false` when the client is gone.
 fn serve_request(
     request: Request,
-    frame: Option<&Frame<'_>>,
+    fields: &Fields<'_>,
     received: Instant,
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
@@ -797,42 +752,26 @@ fn serve_request(
             trigger_shutdown(shared);
             alive
         }
-        RequestBody::Rid {
-            snapshot,
-            config,
-            detector,
-        } => {
-            // A line the scanner refused: the parsed snapshot's canonical
-            // fingerprint is the request's one key, routing it and keying
-            // the artifact cache. The result cache is only primed from
-            // framed lines, whose config spans by-fingerprint lookups
-            // reproduce.
-            let fingerprint = snapshot_fingerprint(&snapshot);
-            let shard = rendezvous(fingerprint, shared.shards.len());
-            enqueue(
-                shard,
-                Job {
-                    id,
-                    received,
-                    conn: Arc::clone(conn),
-                    work: Work::Rid {
-                        input: RidInput::Parsed(RequestBody::Rid {
-                            snapshot,
-                            config,
-                            detector,
-                        }),
-                        fingerprint,
-                        config_key: None,
-                    },
-                },
-                conn,
-                shared,
-            )
+        RequestBody::Rid { .. } => {
+            unreachable!("`handle_line` routes full-form rid lines undecoded")
         }
         RequestBody::RidByFingerprint { fingerprint, .. } => {
-            // Reaching here means the fast path found no cached answer
-            // (or the line needed the full parser). The request is
-            // valid; the snapshot just is not resident on its shard.
+            // Answered inline from the owning shard's result cache,
+            // keyed like the full form that primed it. A line that also
+            // carries a snapshot is answered `unknown_snapshot`, as the
+            // protocol documents for it.
+            let shard = shard_at(shared, rendezvous(fingerprint, shared.shards.len()));
+            let key = (fingerprint, span_config_key(fields.config, fields.detector));
+            let hit = match fields.snapshot {
+                None => shard.lock_results().get(&key),
+                Some(_) => None,
+            };
+            if let Some(payload) = hit {
+                shard.rid_requests.inc();
+                let alive = send(conn, ok_line_raw(id, &payload));
+                shared.request_ns.record_duration(received.elapsed());
+                return alive;
+            }
             let error = WireError::new(
                 ErrorKind::UnknownSnapshot,
                 format!(
@@ -843,10 +782,8 @@ fn serve_request(
             send(conn, error_line(Some(id), &error))
         }
         RequestBody::Simulate { seeds, runs, seed } => {
-            let fp = frame
-                .and_then(|f| f.seeds)
-                .map(|span| fingerprint_bytes(span.as_bytes()))
-                .unwrap_or(conn.id);
+            // A decoded `simulate` has a seeds span; its hash routes it.
+            let fp = fingerprint_bytes(fields.seeds.unwrap_or_default().as_bytes());
             let shard = rendezvous(fp, shared.shards.len());
             enqueue(
                 shard,
@@ -1153,10 +1090,24 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                 }
                 let line = match work {
                     Work::Rid {
-                        input,
+                        line,
+                        snapshot,
+                        config,
+                        detector,
                         fingerprint,
                         config_key,
-                    } => serve_rid(shard, id, input, fingerprint, config_key),
+                    } => {
+                        let span = |range: Range<usize>| line.get(range).unwrap_or_default();
+                        match decode_framed_rid(
+                            &line,
+                            span(snapshot),
+                            config.map(span),
+                            detector.map(span),
+                        ) {
+                            Ok(rid) => serve_rid(shard, id, rid, (fingerprint, config_key)),
+                            Err((id, error)) => error_line(id, &error),
+                        }
+                    }
                     Work::Simulate { seeds, runs, seed } => {
                         match shard.engine.simulate(&seeds, runs, seed) {
                             Ok(estimate) => ok_line(id, estimate.to_json_value()),
@@ -1231,31 +1182,16 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
     shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Decodes and answers one `rid` job on its shard's worker, filing a
-/// framed request's answer in the result cache.
+/// Answers one decoded `rid` job on its shard's worker, filing the
+/// answer in the result cache under `key`: the snapshot span's hash and
+/// the config key.
 fn serve_rid(
     shard: &Shard,
     id: u64,
-    input: RidInput,
-    fingerprint: u64,
-    config_key: Option<u64>,
+    (snapshot, config, detector): RidParts,
+    key: (u64, u64),
 ) -> String {
-    let (snapshot, config, detector) = match input.decode() {
-        Ok(RequestBody::Rid {
-            snapshot,
-            config,
-            detector,
-        }) => (snapshot, config, detector),
-        Ok(_) => {
-            let error = WireError::new(
-                ErrorKind::Internal,
-                "a framed rid line parsed as another request",
-            );
-            return error_line(Some(id), &error);
-        }
-        Err((id, error)) => return error_line(id, &error),
-    };
-    match shard.engine.rid(&snapshot, fingerprint, config, detector) {
+    match shard.engine.rid(&snapshot, key.0, config, detector) {
         Ok(result) => {
             let mut payload = result.to_json_value();
             // Echo the detector only when the request chose one, keeping
@@ -1264,12 +1200,9 @@ fn serve_rid(
                 fields.push(("detector".into(), Value::String(kind.as_label().into())));
             }
             let serialized = payload.to_json();
-            if let Some(config_key) = config_key {
-                shard.lock_results().insert(
-                    (fingerprint, config_key),
-                    Arc::<str>::from(serialized.as_str()),
-                );
-            }
+            shard
+                .lock_results()
+                .insert(key, Arc::<str>::from(serialized.as_str()));
             ok_line_raw(id, &serialized)
         }
         Err(error) => {

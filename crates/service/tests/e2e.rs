@@ -850,7 +850,7 @@ fn same_fingerprint_requests_land_on_the_same_shard() {
 }
 
 #[test]
-fn rid_lines_the_scanner_refuses_share_the_framed_cache_key() {
+fn rid_lines_with_non_digit_ids_share_the_canonical_cache_key() {
     let daemon = Daemon::spawn(&["--shards", "4"]);
     let mut raw = daemon.raw();
     let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
@@ -865,20 +865,20 @@ fn rid_lines_the_scanner_refuses_share_the_framed_cache_key() {
 
     let snap = snapshot(1);
     let canonical = snap.to_json_string();
-    // The scanner refuses the id `5.0`; the full parser accepts it, and
-    // the server keys the request by the parsed snapshot's fingerprint.
-    let unframed = exchange(&format!(
+    // The id `5.0` reads as 5, and the server keys the request by the
+    // hash of its snapshot span, the canonical encoding.
+    let decimal_id = exchange(&format!(
         "{{\"id\":5.0,\"type\":\"rid\",\"snapshot\":{canonical}}}"
     ));
     let mut client = daemon.client();
     let framed = client
         .rid(&snap, None)
-        .expect("framed rid")
+        .expect("canonical rid")
         .to_json_value()
         .to_json();
-    assert_eq!(unframed, framed);
-    // The framed request's span hash found the unframed request's
-    // artifacts: both parse paths produce one key.
+    assert_eq!(decimal_id, framed);
+    // The client's request found the first request's artifacts: one
+    // snapshot, one key.
     let telemetry = client.telemetry().expect("telemetry");
     assert_eq!(telemetry.counter(names::SERVICE_CACHE_MISSES), Some(1));
     assert_eq!(telemetry.counter(names::SERVICE_CACHE_HITS), Some(1));
@@ -910,7 +910,7 @@ fn an_escaped_snapshot_key_cannot_file_one_snapshot_under_anothers_key() {
     .snapshot;
     assert!(large.node_count() > small.node_count());
 
-    // The full parser decodes the key `snap\u0073hot` to `snapshot` and
+    // The parser decodes the key `snap\u0073hot` to `snapshot` and
     // takes the first match, so this line asks about `large`; the
     // unescaped `snapshot` key that follows holds `small`.
     let line = format!(
@@ -973,7 +973,7 @@ fn snapshots_naming_more_nodes_than_they_list_are_refused_without_allocating() {
             "3",
             r#"{"id":3,"type":"rid","snapshot":{"graph":{"nodes":1,"edges":[[0,4294967294,1,0.5]]},"states":["+"],"mapping":[0]}}"#,
         ),
-        // `4.0` is refused by the scanner, so the full parser decodes it.
+        // `4.0` reads as 4, and the refusal echoes it.
         (
             "4",
             r#"{"id":4.0,"type":"rid","snapshot":{"graph":{"nodes":4294967295,"edges":[]},"states":[],"mapping":[]}}"#,
@@ -993,7 +993,7 @@ fn snapshots_naming_more_nodes_than_they_list_are_refused_without_allocating() {
 fn deeply_nested_lines_are_refused_and_the_daemon_lives_on() {
     // 100,000 nested brackets in a 200 KB line used to overflow the
     // stack of the thread parsing them and abort the daemon. The reader
-    // refuses nesting past 128 levels, on the scanner's bracket-depth
+    // refuses nesting past 128 levels, on the walk's bracket-depth
     // skip of a `snapshot` too.
     let daemon = Daemon::spawn(&[]);
     let mut raw = daemon.raw();
@@ -1042,11 +1042,49 @@ fn cached_answers_are_not_served_to_malformed_by_fingerprint_lines() {
         reply.contains("\"ok\":true"),
         "the cache is primed: {reply}"
     );
-    // The full parser refuses the `nul` literal, so the cache must not
+    // The parser refuses the `nul` literal, so the cache must not
     // answer the line either.
     let reply = exchange(format!(r#"{line},"x":nul}}"#));
     assert!(reply.contains("\"id\":null"), "{reply}");
     assert!(reply.contains("bad_request"), "{reply}");
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn by_fingerprint_lines_the_parser_reads_alike_hit_the_cache() {
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    let snap = snapshot(1);
+    let full = client
+        .rid(&snap, None)
+        .expect("prime the result cache")
+        .to_json_value()
+        .to_json();
+    let fingerprint = snapshot_fingerprint(&snap).to_string();
+    let escaped: String = fingerprint
+        .chars()
+        .map(|digit| format!("\\u{:04x}", u32::from(digit)))
+        .collect();
+
+    let mut raw = daemon.raw();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone stream"));
+    for (id, line) in [
+        (
+            5,
+            format!(r#"{{"id":5.0,"type":"rid","fingerprint":"{fingerprint}"}}"#),
+        ),
+        (
+            6,
+            format!(r#"{{"id":6,"type":"rid","fingerprint":"{escaped}"}}"#),
+        ),
+    ] {
+        raw.write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        let expected = format!("{{\"id\":{id},\"ok\":true,\"result\":{full}}}\n");
+        assert_eq!(reply, expected, "{line}");
+    }
     client.shutdown().expect("shutdown");
 }
 
