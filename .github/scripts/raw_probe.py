@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Hostile and malformed request lines over a raw socket to a running
 isomit-serve daemon, checking that each gets its structured reply and
-that the daemon lives on.
+that the daemon lives on, and that a second client that never reads its
+replies stalls no one else.
 
 Usage: python3 .github/scripts/raw_probe.py HOST:PORT SNAPSHOT.json
 
@@ -13,6 +14,8 @@ Standard library only; exits non-zero on the first failed check.
 
 import socket
 import sys
+import threading
+import time
 
 
 def main():
@@ -55,9 +58,46 @@ def main():
     # The parser reads the id `5.0` as 5, so the cache answers it too.
     check(ask('{"id":5.0,%s}' % line), '{"id":5,"ok":true')
 
+    # JSON spells a \u escape with exactly four hex digits, so the primed
+    # fingerprint with its last digit written as `\u+03` and that digit
+    # is refused, not read as the digit and answered from the cache.
+    digits = str(fingerprint)
+    signed = digits[:-1] + "\\u+03" + digits[-1]
+    check(ask('{"id":4,"type":"rid","fingerprint":"%s"}' % signed),
+          "bad_request", "escape")
+    # Nor is `6.` a JSON number.
+    check(ask('{"id":6.,"type":"health"}'), "bad_request", "invalid number")
+
     # Every reply echoes id 2^53 as an integer.
     check(ask('{"id":9007199254740992,"type":"health"}'),
           '{"id":9007199254740992,')
+
+    # A second client writes `health` lines and never reads a reply,
+    # until the daemon stops reading it and a send times out. Meanwhile,
+    # and after, every round trip on this connection stays under 1 s.
+    flood = socket.create_connection((host, int(port)))
+    flood.settimeout(2.0)
+
+    def flood_until_refused():
+        chunk = b'{"id":1,"type":"health"}\n' * 1024
+        try:
+            while True:
+                flood.sendall(chunk)
+        except OSError:  # the send timed out: the daemon stopped reading
+            pass
+
+    flooder = threading.Thread(target=flood_until_refused)
+    flooder.start()
+    after = 0
+    while after < 20:
+        if not flooder.is_alive():
+            after += 1
+        started = time.monotonic()
+        check(ask('{"id":7,"type":"health"}'), '"ok":true')
+        took = time.monotonic() - started
+        assert took < 1.0, "health took %.3f s beside a stalled client" % took
+    flooder.join()
+    flood.close()
     print("raw probe: all checks passed")
 
 

@@ -20,6 +20,15 @@
 //!   doubling to 500 µs) instead of spinning — the workspace forbids
 //!   `unsafe`, so there is no `poll(2)`/`epoll` registration; readiness
 //!   is observed by attempting the reads.
+//! * **replies** go into their connection's outbox in completion order,
+//!   whichever thread made them, and are written without ever waiting
+//!   on the socket. The io thread appends a connection's inline replies
+//!   as it serves its lines and writes them in one flush at the end of
+//!   that connection's sweep; a shard worker appends its reply and
+//!   writes what the socket takes at once. Bytes the socket refuses
+//!   wait for a later sweep. An outbox holding [`OUTBOX_CAP`] bytes
+//!   stops the reading of its connection, and one whose backlog has not
+//!   moved for the request timeout is closed.
 //! * **shards** are independent serving units: each owns a
 //!   [`RidEngine`] sibling (shared network, private artifact cache,
 //!   private registry), a bounded admission queue, a serialized-result
@@ -42,7 +51,8 @@
 //! Shutdown (via the protocol `shutdown` request or
 //! [`Server::trigger_shutdown`]) closes every shard queue: queued work
 //! drains, new work is refused with `shutting_down`, and the io thread
-//! exits once the last worker finishes. There is no signal handler —
+//! exits once the last worker finishes and every outbox is written or
+//! its connection closed. There is no signal handler —
 //! `unsafe` (and thus libc) is forbidden workspace-wide — so process
 //! supervisors should send the protocol `shutdown` request; SIGTERM
 //! still works, just without the drain.
@@ -62,7 +72,7 @@ use isomit_graph::json::Value;
 use isomit_telemetry::{names, Counter, Gauge, Histogram, Registry, Stopwatch};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -105,53 +115,138 @@ impl Default for ServerConfig {
     }
 }
 
-/// Write-stall bound: how many 100 µs sleeps a blocked writer tolerates
-/// before giving the connection up (~10 s of an unread socket).
-const MAX_WRITE_STALLS: u32 = 100_000;
-
 /// Lines one connection may have processed per io sweep, bounding how
 /// long a pipelining client can monopolize the io thread.
-const MAX_LINES_PER_SWEEP: usize = 128;
+pub const MAX_LINES_PER_SWEEP: usize = 128;
+
+/// Reply bytes a connection's outbox may hold before the io thread stops
+/// reading that connection, so a client that does not read its replies
+/// meets TCP backpressure instead of growing the daemon. The outbox can
+/// pass it by one sweep's inline replies ([`MAX_LINES_PER_SWEEP`]) plus
+/// the replies of that connection's jobs already queued.
+pub const OUTBOX_CAP: usize = 1 << 20;
 
 /// Backoff window of an idle io sweep.
 const MIN_BACKOFF: Duration = Duration::from_micros(50);
 const MAX_BACKOFF: Duration = Duration::from_micros(500);
 
-/// One accepted connection. The io thread is the only reader; writes
-/// come from the io and worker threads under `write_lock`.
+/// One accepted connection. The io thread is the only reader; every
+/// reply, from the io thread or a shard worker, goes through `outbox`.
 #[derive(Debug)]
 struct Conn {
     id: u64,
     stream: TcpStream,
-    write_lock: Mutex<()>,
+    outbox: Mutex<Outbox>,
 }
 
-/// Writes one response line (plus newline) to a nonblocking socket;
-/// returns `false` when the client is gone or persistently stalled.
-fn send(conn: &Conn, mut line: String) -> bool {
-    line.push('\n');
-    let _guard = conn.write_lock.lock().unwrap_or_else(|p| p.into_inner());
-    let mut remaining = line.as_bytes();
-    let mut stalls = 0u32;
-    while !remaining.is_empty() {
-        match (&conn.stream).write(remaining) {
-            Ok(0) => return false,
-            Ok(n) => {
-                remaining = remaining.get(n..).unwrap_or_default();
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stalls += 1;
-                if stalls > MAX_WRITE_STALLS {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
+/// A connection's replies the socket has not taken yet, in completion
+/// order. Appending never writes and writing never waits, so no thread
+/// sleeps on a client that does not read.
+#[derive(Debug, Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    /// Length of the prefix of `bytes` already written.
+    written: usize,
+    /// Started when the socket refused pending bytes, reset whenever it
+    /// takes one: how long the backlog has not moved.
+    stalled: Option<Stopwatch>,
+    /// The peer is gone or the connection was closed: pending replies
+    /// were dropped and later ones are too.
+    closed: bool,
+}
+
+impl Outbox {
+    fn pending(&self) -> &[u8] {
+        self.bytes.get(self.written..).unwrap_or_default()
     }
-    true
+
+    fn close(&mut self) {
+        *self = Outbox {
+            closed: true,
+            ..Outbox::default()
+        };
+    }
+}
+
+impl Conn {
+    fn outbox(&self) -> std::sync::MutexGuard<'_, Outbox> {
+        self.outbox.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Reply bytes not yet written.
+    fn backlog(&self) -> usize {
+        self.outbox().pending().len()
+    }
+
+    /// Appends one reply line behind the connection's earlier replies;
+    /// the next [`flush`](Conn::flush) writes it.
+    fn push(&self, line: &str) {
+        let mut outbox = self.outbox();
+        if outbox.closed {
+            return;
+        }
+        // Drop the written prefix once it is the larger half, so a
+        // backlog written a little at a time is not moved on every push.
+        let written = outbox.written;
+        if written > 0 && written * 2 >= outbox.bytes.len() {
+            outbox.bytes.drain(..written);
+            outbox.written = 0;
+        }
+        outbox.bytes.extend_from_slice(line.as_bytes());
+        outbox.bytes.push(b'\n');
+    }
+
+    /// Writes what the socket takes now of the outbox, without waiting,
+    /// and raises `service.outbox_bytes_max` to the backlog it found.
+    /// Closes the connection when the peer is gone or the backlog has
+    /// not moved for the request timeout. Returns the bytes written, or
+    /// `None` once the connection is closed.
+    fn flush(&self, shared: &Shared) -> Option<usize> {
+        let mut outbox = self.outbox();
+        let backlog = outbox.pending().len();
+        if backlog > 0 {
+            let backlog = i64::try_from(backlog).unwrap_or(i64::MAX);
+            shared.outbox_bytes_max.set_max(backlog);
+        }
+        let mut wrote = 0;
+        while !outbox.closed && !outbox.pending().is_empty() {
+            match (&self.stream).write(outbox.pending()) {
+                Ok(0) => outbox.close(),
+                Ok(n) => {
+                    outbox.written += n;
+                    outbox.stalled = None;
+                    wrote += n;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    let stalled = outbox.stalled.get_or_insert_with(Stopwatch::start);
+                    if stalled.elapsed() > shared.timeout {
+                        outbox.close();
+                        let _ = self.stream.shutdown(Shutdown::Both);
+                    }
+                    break;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => outbox.close(),
+            }
+        }
+        if outbox.pending().is_empty() && !outbox.closed {
+            outbox.written = 0;
+            // A backlog that outgrew the cap gives its memory back.
+            if outbox.bytes.capacity() > OUTBOX_CAP {
+                outbox.bytes = Vec::new();
+            } else {
+                outbox.bytes.clear();
+            }
+        }
+        (!outbox.closed).then_some(wrote)
+    }
+
+    /// A shard worker's reply: appended, then written as far as the
+    /// socket takes it now; the io sweep writes the rest.
+    fn reply(&self, line: &str, shared: &Shared) {
+        self.push(line);
+        let _ = self.flush(shared);
+    }
 }
 
 /// A queued unit of work plus everything needed to answer it.
@@ -233,7 +328,9 @@ struct Shared {
     addr: SocketAddr,
     timeout: Duration,
     conn_seq: AtomicU64,
-    /// End-to-end latency of data-plane jobs, receipt to reply written.
+    /// End-to-end latency of data-plane jobs and inline cache hits, from
+    /// receipt until the reply is in the connection's outbox (a worker
+    /// has also written what the socket took).
     request_ns: Histogram,
     /// Time a job spent in its shard's queue before the worker took it.
     queue_wait_ns: Histogram,
@@ -254,6 +351,8 @@ struct Shared {
     /// Largest-minus-smallest per-shard request share, in percent,
     /// refreshed on every `stats` request.
     imbalance_pct: Gauge,
+    /// Largest backlog any outbox held when a flush began.
+    outbox_bytes_max: Gauge,
 }
 
 impl std::fmt::Debug for Shared {
@@ -352,6 +451,7 @@ impl Server {
             watch_fallbacks: primary.counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS),
             watch_shed: primary.counter(names::WATCH_SESSIONS_SHED),
             imbalance_pct: primary.gauge(names::SERVICE_SHARD_IMBALANCE_PCT),
+            outbox_bytes_max: primary.gauge(names::SERVICE_OUTBOX_BYTES_MAX),
         });
 
         let worker_threads = shared
@@ -475,6 +575,10 @@ struct ConnState {
     conn: Arc<Conn>,
     lines: LineBuffer,
     watch: Option<WatchPin>,
+    /// Cleared once no further line can be served (EOF, or an
+    /// undecodable line): the connection is then released when every
+    /// reply owed to it is written.
+    open: bool,
 }
 
 /// A connection's bytes read but not yet framed into complete lines.
@@ -511,11 +615,11 @@ impl LineBuffer {
 }
 
 enum Pump {
-    /// Nothing readable, nothing processed.
+    /// Nothing read, served or written.
     Idle,
-    /// Read bytes or served lines this sweep.
+    /// Read bytes, served lines or wrote replies this sweep.
     Progress,
-    /// Peer gone (EOF or hard error); release the connection.
+    /// Closed, or done with nothing left to write; release it.
     Closed,
 }
 
@@ -524,7 +628,10 @@ fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let mut backoff = MIN_BACKOFF;
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
-        if draining && shared.workers_alive.load(Ordering::SeqCst) == 0 {
+        if draining
+            && shared.workers_alive.load(Ordering::SeqCst) == 0
+            && conns.iter().all(|state| state.conn.backlog() == 0)
+        {
             break;
         }
         let mut progress = false;
@@ -544,10 +651,11 @@ fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                             conn: Arc::new(Conn {
                                 id: shared.conn_seq.fetch_add(1, Ordering::Relaxed),
                                 stream,
-                                write_lock: Mutex::new(()),
+                                outbox: Mutex::default(),
                             }),
                             lines: LineBuffer::default(),
                             watch: None,
+                            open: true,
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -598,8 +706,37 @@ fn release_watch(conn: &Arc<Conn>, watch: Option<WatchPin>, shared: &Arc<Shared>
     }
 }
 
-/// One read + bounded line processing for a connection.
+/// One sweep of a connection: one read and bounded line processing
+/// while its outbox is under [`OUTBOX_CAP`], then one flush.
 fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
+    // A connection whose replies back up past the cap is not read, so
+    // TCP backpressure reaches a client that does not read them.
+    let mut progress = false;
+    if state.open && state.conn.backlog() < OUTBOX_CAP {
+        progress = serve_lines(state, shared);
+    }
+    if !state.open {
+        release_watch(&state.conn, state.watch.take(), shared);
+    }
+    match state.conn.flush(shared) {
+        None => return Pump::Closed,
+        Some(wrote) => progress |= wrote > 0,
+    }
+    // Done once nothing more can be read, no queued job holds the
+    // connection (so no reply can still arrive) and every reply is out.
+    if !state.open && Arc::strong_count(&state.conn) == 1 && state.conn.backlog() == 0 {
+        return Pump::Closed;
+    }
+    if progress {
+        Pump::Progress
+    } else {
+        Pump::Idle
+    }
+}
+
+/// Reads once and serves up to [`MAX_LINES_PER_SWEEP`] complete lines;
+/// returns whether it read or served anything.
+fn serve_lines(state: &mut ConnState, shared: &Arc<Shared>) -> bool {
     let mut chunk = [0u8; 16 * 1024];
     let mut read_any = false;
     let mut eof = false;
@@ -619,7 +756,6 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
 
     let mut cursor = 0usize;
     let mut processed = 0usize;
-    let mut alive = true;
     while processed < MAX_LINES_PER_SWEEP {
         let Some(range) = state.lines.next_line(&mut cursor) else {
             break;
@@ -630,9 +766,9 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
         let received = Instant::now();
         let raw = state.lines.bytes.get(range).unwrap_or_default();
         let Ok(text) = std::str::from_utf8(raw) else {
-            // Matches the old line-reader: undecodable input drops the
+            // Matches the old line-reader: undecodable input ends the
             // connection rather than guessing at a reply.
-            alive = false;
+            state.open = false;
             break;
         };
         let line = text.trim();
@@ -640,45 +776,35 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
             continue;
         }
         processed += 1;
-        if !handle_line(line, received, &state.conn, &mut state.watch, shared) {
-            alive = false;
-            break;
-        }
+        handle_line(line, received, &state.conn, &mut state.watch, shared);
     }
     state.lines.consume(cursor);
 
-    if !alive {
-        return Pump::Closed;
-    }
     if eof && processed == 0 {
         // The peer is gone and no further line can complete (anything
         // left in the buffer has no trailing newline). Buffered complete
         // lines were served on earlier iterations of this sweep or on
         // previous sweeps, matching the old line-reader's EOF behavior.
-        return Pump::Closed;
+        state.open = false;
     }
-    if read_any || processed > 0 {
-        Pump::Progress
-    } else {
-        Pump::Idle
-    }
+    read_any || processed > 0
 }
 
-/// Serves one request line; returns `false` when the client is gone.
+/// Serves one request line.
 fn handle_line(
     line: &str,
     received: Instant,
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
-) -> bool {
+) {
     // The line's one walk leaves the snapshot span unchecked; when it
     // fails, the checked walk names the error the parser names.
     let fields = match framing::walk(line, false).or_else(|_| framing::walk(line, true)) {
         Ok(fields) => fields,
         Err(error) => {
             let (id, error) = invalid_json(&error);
-            return send(conn, error_line(id, &error));
+            return conn.push(&error_line(id, &error));
         }
     };
     let request = match (fields.id, fields.fingerprint, fields.snapshot) {
@@ -712,11 +838,11 @@ fn handle_line(
     };
     match request {
         Ok(request) => serve_request(request, &fields, received, conn, watch, shared),
-        Err((id, error)) => send(conn, error_line(id, &error)),
+        Err((id, error)) => conn.push(&error_line(id, &error)),
     }
 }
 
-/// Handles one decoded request; returns `false` when the client is gone.
+/// Handles one decoded request.
 fn serve_request(
     request: Request,
     fields: &Fields<'_>,
@@ -724,7 +850,7 @@ fn serve_request(
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
-) -> bool {
+) {
     let Request { id, body } = request;
     match body {
         // Control-plane requests bypass the queues so they stay
@@ -738,19 +864,15 @@ fn serve_request(
                 ("nodes".into(), Value::Number(graph.node_count() as f64)),
                 ("edges".into(), Value::Number(graph.edge_count() as f64)),
             ]);
-            send(conn, ok_line(id, result))
+            conn.push(&ok_line(id, result));
         }
-        RequestBody::Stats => send(conn, ok_line(id, stats_payload(shared))),
+        RequestBody::Stats => conn.push(&ok_line(id, stats_payload(shared))),
         RequestBody::Shutdown => {
-            let alive = send(
-                conn,
-                ok_line(
-                    id,
-                    Value::Object(vec![("stopping".into(), Value::Bool(true))]),
-                ),
-            );
+            conn.push(&ok_line(
+                id,
+                Value::Object(vec![("stopping".into(), Value::Bool(true))]),
+            ));
             trigger_shutdown(shared);
-            alive
         }
         RequestBody::Rid { .. } => {
             unreachable!("`handle_line` routes full-form rid lines undecoded")
@@ -768,9 +890,9 @@ fn serve_request(
             };
             if let Some(payload) = hit {
                 shard.rid_requests.inc();
-                let alive = send(conn, ok_line_raw(id, &payload));
+                conn.push(&ok_line_raw(id, &payload));
                 shared.request_ns.record_duration(received.elapsed());
-                return alive;
+                return;
             }
             let error = WireError::new(
                 ErrorKind::UnknownSnapshot,
@@ -779,7 +901,7 @@ fn serve_request(
                      resend the full snapshot"
                 ),
             );
-            send(conn, error_line(Some(id), &error))
+            conn.push(&error_line(Some(id), &error));
         }
         RequestBody::Simulate { seeds, runs, seed } => {
             // A decoded `simulate` has a seeds span; its hash routes it.
@@ -807,7 +929,7 @@ fn serve_request(
                     ErrorKind::BadRequest,
                     "no watch session open on this connection; send watch_open first",
                 );
-                return send(conn, error_line(Some(id), &error));
+                return conn.push(&error_line(Some(id), &error));
             };
             let expired = pin.opened.elapsed() > shared.timeout;
             let shard = pin.shard;
@@ -823,7 +945,7 @@ fn serve_request(
                         shared.timeout
                     ),
                 );
-                return send(conn, error_line(Some(id), &error));
+                return conn.push(&error_line(Some(id), &error));
             }
             forward_watch(
                 shard,
@@ -843,7 +965,7 @@ fn serve_request(
                     ErrorKind::BadRequest,
                     "no watch session open on this connection",
                 );
-                return send(conn, error_line(Some(id), &error));
+                return conn.push(&error_line(Some(id), &error));
             };
             forward_watch(
                 pin.shard,
@@ -932,17 +1054,17 @@ fn serve_watch_open(
     conn: &Arc<Conn>,
     watch: &mut Option<WatchPin>,
     shared: &Arc<Shared>,
-) -> bool {
+) {
     if shared.shutdown.load(Ordering::SeqCst) {
         let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
-        return send(conn, error_line(Some(id), &error));
+        return conn.push(&error_line(Some(id), &error));
     }
     if watch.is_some() {
         let error = WireError::new(
             ErrorKind::BadRequest,
             "a watch session is already open on this connection",
         );
-        return send(conn, error_line(Some(id), &error));
+        return conn.push(&error_line(Some(id), &error));
     }
     let admitted = shared
         .watch_active
@@ -959,7 +1081,7 @@ fn serve_watch_open(
                 shared.max_watch
             ),
         );
-        return send(conn, error_line(Some(id), &error));
+        return conn.push(&error_line(Some(id), &error));
     }
     let config = config.unwrap_or_else(|| shard_at(shared, 0).engine.default_config());
     let session = match IncrementalRid::new(config) {
@@ -968,7 +1090,7 @@ fn serve_watch_open(
             // The slot reserved above goes back unused.
             shared.watch_active.fetch_sub(1, Ordering::SeqCst);
             let error = WireError::new(ErrorKind::BadRequest, error.to_string());
-            return send(conn, error_line(Some(id), &error));
+            return conn.push(&error_line(Some(id), &error));
         }
     };
     let answer_every = answer_every.unwrap_or(1).max(1);
@@ -989,7 +1111,6 @@ fn serve_watch_open(
                 shard,
                 opened: Stopwatch::start(),
             });
-            true
         }
         Err(PushError::Full(job)) => {
             shared.watch_active.fetch_sub(1, Ordering::SeqCst);
@@ -997,12 +1118,12 @@ fn serve_watch_open(
                 ErrorKind::Overloaded,
                 format!("work queue full ({} queued); retry later", queue.capacity()),
             );
-            send(conn, error_line(Some(job.id), &error))
+            conn.push(&error_line(Some(job.id), &error));
         }
         Err(PushError::Closed(job)) => {
             shared.watch_active.fetch_sub(1, Ordering::SeqCst);
             let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
-            send(conn, error_line(Some(job.id), &error))
+            conn.push(&error_line(Some(job.id), &error));
         }
     }
 }
@@ -1021,32 +1142,31 @@ fn shard_at(shared: &Shared, index: usize) -> &Shard {
 /// [`BoundedQueue::force_push`]: stateful session verbs are never shed
 /// (shedding them would desynchronize the session bookkeeping), only
 /// refused at shutdown.
-fn forward_watch(shard: usize, job: Job, conn: &Arc<Conn>, shared: &Arc<Shared>) -> bool {
-    match shard_at(shared, shard).queue.force_push(job) {
-        Ok(()) => true,
-        Err(PushError::Full(job)) | Err(PushError::Closed(job)) => {
-            let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
-            send(conn, error_line(Some(job.id), &error))
-        }
+fn forward_watch(shard: usize, job: Job, conn: &Arc<Conn>, shared: &Arc<Shared>) {
+    if let Err(PushError::Full(job) | PushError::Closed(job)) =
+        shard_at(shared, shard).queue.force_push(job)
+    {
+        let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
+        conn.push(&error_line(Some(job.id), &error));
     }
 }
 
 /// Admits a job to a shard's bounded queue or answers with structured
 /// backpressure for that shard alone.
-fn enqueue(shard: usize, job: Job, conn: &Arc<Conn>, shared: &Arc<Shared>) -> bool {
+fn enqueue(shard: usize, job: Job, conn: &Arc<Conn>, shared: &Arc<Shared>) {
     let queue = &shard_at(shared, shard).queue;
     match queue.try_push(job) {
-        Ok(()) => true,
+        Ok(()) => {}
         Err(PushError::Full(job)) => {
             let error = WireError::new(
                 ErrorKind::Overloaded,
                 format!("work queue full ({} queued); retry later", queue.capacity()),
             );
-            send(conn, error_line(Some(job.id), &error))
+            conn.push(&error_line(Some(job.id), &error));
         }
         Err(PushError::Closed(job)) => {
             let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
-            send(conn, error_line(Some(job.id), &error))
+            conn.push(&error_line(Some(job.id), &error));
         }
     }
 }
@@ -1084,7 +1204,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                             shared.timeout
                         ),
                     );
-                    let _ = send(&conn, error_line(Some(id), &error));
+                    conn.reply(&error_line(Some(id), &error), shared);
                     shared.request_ns.record_duration(received.elapsed());
                     continue;
                 }
@@ -1116,7 +1236,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                     }
                     _ => unreachable!("outer match narrowed to data-plane work"),
                 };
-                let _ = send(&conn, line);
+                conn.reply(&line, shared);
                 shared.request_ns.record_duration(received.elapsed());
             }
             Work::WatchOpen {
@@ -1135,7 +1255,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                     ("opened".into(), Value::Bool(true)),
                     ("answer_every".into(), Value::Number(answer_every as f64)),
                 ]);
-                let _ = send(&conn, ok_line(id, result));
+                conn.reply(&ok_line(id, result), shared);
             }
             Work::WatchDelta { delta } => {
                 serve_watch_delta(id, &delta, &conn, &mut sessions, shard, shared);
@@ -1163,7 +1283,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                         ),
                     ),
                 };
-                let _ = send(&conn, line);
+                conn.reply(&line, shared);
             }
             Work::WatchCleanup => {
                 if sessions.remove(&conn.id).is_some() {
@@ -1234,7 +1354,7 @@ fn serve_watch_delta(
             ErrorKind::BadRequest,
             "no watch session open on this connection; send watch_open first",
         );
-        let _ = send(conn, error_line(Some(id), &error));
+        conn.reply(&error_line(Some(id), &error), shared);
         return;
     };
     let started = Stopwatch::start();
@@ -1242,7 +1362,7 @@ fn serve_watch_delta(
         // Validation rejected the delta before any mutation: the
         // session state is intact and the connection stays usable.
         let error = WireError::new(ErrorKind::InvalidDelta, error.to_string());
-        let _ = send(conn, error_line(Some(id), &error));
+        conn.reply(&error_line(Some(id), &error), shared);
         return;
     }
     let deltas = ws.session.deltas_applied();
@@ -1285,7 +1405,7 @@ fn serve_watch_delta(
         )
     };
     shared.watch_delta_ns.record_duration(started.elapsed());
-    let _ = send(conn, line);
+    conn.reply(&line, shared);
 }
 
 #[cfg(test)]

@@ -1279,3 +1279,182 @@ fn watch_session_survives_on_its_pinned_shard_under_cross_shard_load() {
     }
     client.shutdown().expect("shutdown");
 }
+
+// ---------------------------------------------------------------------
+// Clients that stop reading: replies wait in a capped per-connection
+// outbox, and nobody else waits for them.
+// ---------------------------------------------------------------------
+
+use isomit_service::server::{MAX_LINES_PER_SWEEP, OUTBOX_CAP};
+use std::io::{ErrorKind as IoErrorKind, Read};
+use std::time::{Duration, Instant};
+
+const HEALTH_LINE: &[u8] = b"{\"id\":1,\"type\":\"health\"}\n";
+
+/// Writes `health` lines on `stream` and reads nothing, until one write
+/// has been refused for `patience` (the daemon stopped reading this
+/// connection) or the daemon closed it. Returns the bytes written.
+fn flood_without_reading(stream: &mut TcpStream, patience: Duration) -> usize {
+    stream
+        .set_write_timeout(Some(patience))
+        .expect("write timeout");
+    let chunk = HEALTH_LINE.repeat(1024);
+    let mut written = 0;
+    loop {
+        match stream.write(&chunk) {
+            Ok(n) => written += n,
+            // Refused for `patience`, or closed by the daemon.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    IoErrorKind::WouldBlock
+                        | IoErrorKind::TimedOut
+                        | IoErrorKind::ConnectionReset
+                        | IoErrorKind::BrokenPipe
+                ) =>
+            {
+                return written
+            }
+            Err(e) => panic!("flood write failed: {e}"),
+        }
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_no_one_else() {
+    // Each round trip of a polite client stays under this bound while
+    // another client floods the daemon and never reads a reply.
+    const ROUND_TRIP_BOUND: Duration = Duration::from_millis(250);
+    let daemon = Daemon::spawn(&[]);
+    let mut hostile = daemon.raw();
+    let flooder = std::thread::spawn(move || {
+        let written = flood_without_reading(&mut hostile, Duration::from_secs(2));
+        (hostile, written)
+    });
+
+    let mut polite = daemon.raw();
+    polite
+        .set_read_timeout(Some(ROUND_TRIP_BOUND * 8))
+        .expect("read timeout");
+    let mut reader = BufReader::new(polite.try_clone().expect("clone stream"));
+    let mut reply = String::new();
+    let mut after_flood = 0;
+    let mut trips = 0;
+    // Round trips while the flood runs, then 50 more once the daemon has
+    // stopped reading the flooder.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while after_flood < 50 {
+        assert!(
+            Instant::now() < deadline,
+            "the daemon never stopped reading a client that reads nothing"
+        );
+        if flooder.is_finished() {
+            after_flood += 1;
+        }
+        let started = Instant::now();
+        polite.write_all(HEALTH_LINE).expect("polite write");
+        reply.clear();
+        let read = reader.read_line(&mut reply);
+        let took = started.elapsed();
+        assert!(
+            read.is_ok() && took < ROUND_TRIP_BOUND,
+            "round trip {trips} took {took:?} ({read:?}) while another client flooded"
+        );
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        trips += 1;
+    }
+    let (hostile, written) = flooder.join().expect("flooder");
+    assert!(
+        written > OUTBOX_CAP / 4,
+        "the flood wrote only {written} bytes before the daemon stopped reading it"
+    );
+
+    // The flooder's backlog stopped at the cap, give or take one sweep
+    // of replies.
+    let reply_len = reply.len();
+    let telemetry = daemon.client().telemetry().expect("telemetry");
+    let peak = telemetry
+        .gauge(names::SERVICE_OUTBOX_BYTES_MAX)
+        .expect("outbox gauge registered");
+    let peak = usize::try_from(peak).expect("a byte count");
+    assert!(
+        (OUTBOX_CAP..OUTBOX_CAP + MAX_LINES_PER_SWEEP * reply_len).contains(&peak),
+        "largest outbox {peak} B, cap {OUTBOX_CAP} B, sweep of {MAX_LINES_PER_SWEEP} replies of {reply_len} B"
+    );
+    drop(hostile);
+    daemon.client().shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_client_whose_replies_stall_past_the_timeout_is_closed() {
+    let daemon = Daemon::spawn(&["--timeout-ms", "500"]);
+    let mut hostile = daemon.raw();
+    // The last write waited 2 s with the daemon no longer reading: the
+    // replies have not moved for longer than the 500 ms timeout.
+    flood_without_reading(&mut hostile, Duration::from_secs(2));
+    let closed_by = Instant::now() + Duration::from_secs(10);
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match hostile.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == IoErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the stalled connection is still open: {e}"),
+        }
+        assert!(
+            Instant::now() < closed_by,
+            "the daemon kept writing to a connection it should have closed"
+        );
+    }
+    // The daemon lives on for everyone else.
+    let mut client = daemon.client();
+    client.health().expect("health after the close");
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_pipelined_rid_and_health_lines_get_every_reply_in_completion_order() {
+    let daemon = Daemon::spawn(&[]);
+    let snap = snapshot(1);
+    let mut batch = format!(
+        "{{\"id\":0,\"type\":\"rid\",\"snapshot\":{}}}\n",
+        snap.to_json_string()
+    );
+    for id in 1..=300 {
+        batch += &format!("{{\"id\":{id},\"type\":\"health\"}}\n");
+    }
+    let mut raw = daemon.raw();
+    raw.write_all(batch.as_bytes()).expect("write batch");
+    let mut reader = BufReader::new(raw);
+    let mut health_ids = Vec::new();
+    let mut rid = None;
+    for _ in 0..=300 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        let response = isomit_service::protocol::parse_response(&reply).expect("envelope");
+        match response.id {
+            Some(0) => {
+                assert!(rid.is_none(), "the rid was answered twice");
+                rid = Some(response.outcome.expect("rid succeeds"));
+            }
+            Some(id) => {
+                assert!(response.outcome.is_ok(), "{reply}");
+                health_ids.push(id);
+            }
+            None => panic!("reply without an id: {reply}"),
+        }
+    }
+    // The inline replies keep their arrival order; the worker's reply
+    // lands among them wherever it completed.
+    assert_eq!(health_ids, (1..=300).collect::<Vec<u64>>());
+    let answered =
+        isomit_core::RidResult::from_json_value(&rid.expect("rid answered")).expect("rid result");
+    assert_eq!(
+        answered.detection,
+        expected_detection(&snap, RidConfig::default())
+    );
+    daemon.client().shutdown().expect("shutdown");
+}

@@ -121,6 +121,10 @@ pub mod names {
     /// Largest-minus-smallest per-shard request share at the last stats
     /// snapshot, in percent (gauge; 0 means perfectly balanced shards).
     pub const SERVICE_SHARD_IMBALANCE_PCT: &str = "service.shard_imbalance_pct";
+    /// Largest reply backlog any connection's outbox held when a write
+    /// began, in bytes (gauge; a high-water mark since the daemon
+    /// started).
+    pub const SERVICE_OUTBOX_BYTES_MAX: &str = "service.outbox_bytes_max";
 
     /// `shard.<i>.queue_depth` — per-shard admission-queue depth
     /// (gauge alias of that shard's `service.queue_depth`).

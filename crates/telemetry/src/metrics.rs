@@ -97,6 +97,14 @@ impl Gauge {
         }
     }
 
+    /// Raises the value to `v` when `v` is larger, for a high-water mark
+    /// (dropped while disabled).
+    pub fn set_max(&self, v: i64) {
+        if self.enabled.load(Ordering::Relaxed) {
+            self.value.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -124,6 +132,10 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
+        g.set_max(5);
+        assert_eq!(g.get(), 7, "a lower value leaves the high-water mark");
+        g.set_max(12);
+        assert_eq!(g.get(), 12);
     }
 
     #[test]
@@ -133,6 +145,7 @@ mod tests {
         let g = Gauge::with_flag(Arc::clone(&flag));
         c.inc();
         g.set(9);
+        g.set_max(9);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0);
         flag.store(true, Ordering::Relaxed);
