@@ -317,13 +317,17 @@ pub struct IncrementalRid {
     states: Vec<NodeState>,
     /// Session slot → out-links `(dst slot, sign, weight)`.
     out_edges: Vec<Vec<(usize, Sign, f64)>>,
+    /// Scratch of `snapshot_of` for component sub-snapshots: session
+    /// slot → position in the member list being materialized. Entries
+    /// of other slots are stale.
+    local_of: Vec<usize>,
     uf: UnionFind,
     /// Component root slot (union-find representative) → state.
     components: BTreeMap<usize, ComponentState>,
     deltas_applied: u64,
     fallbacks: u64,
     /// Snapshot + artifacts of the last full-recompute fallback, kept
-    /// for the serving engine to adopt into its artifact cache.
+    /// until [`take_fallback_artifacts`](Self::take_fallback_artifacts).
     pending_artifacts: Option<(InfectedNetwork, ForestArtifacts)>,
 }
 
@@ -342,6 +346,7 @@ impl IncrementalRid {
             originals: Vec::new(),
             states: Vec::new(),
             out_edges: Vec::new(),
+            local_of: Vec::new(),
             uf: UnionFind::new(0),
             components: BTreeMap::new(),
             deltas_applied: 0,
@@ -404,6 +409,7 @@ impl IncrementalRid {
                 self.originals.push(node);
                 self.states.push(state);
                 self.out_edges.push(Vec::new());
+                self.local_of.push(0);
                 let uf_slot = self.uf.push();
                 debug_assert_eq!(uf_slot, slot, "union-find and slot arrays grow in lockstep");
                 self.components.insert(
@@ -511,7 +517,7 @@ impl IncrementalRid {
     /// reference the incremental answer is bit-identical to.
     pub fn snapshot(&self) -> InfectedNetwork {
         let slots: Vec<usize> = self.index_of.values().copied().collect();
-        self.snapshot_of(&slots)
+        self.snapshot_of(&slots, &mut vec![0; slots.len()])
     }
 
     /// Answers the initiator query for the current snapshot,
@@ -562,9 +568,11 @@ impl IncrementalRid {
 
     /// Takes the snapshot and forest artifacts produced by the most
     /// recent full-recompute fallback, if one has happened since the
-    /// last take. The serving engine adopts them into its artifact
-    /// cache (evicting the entry they supersede) so a later one-shot
-    /// `rid` of the same snapshot is a cache hit.
+    /// last take. A library caller can adopt them into a
+    /// `RidEngine`'s artifact cache so a later one-shot `rid` of the
+    /// same snapshot is a cache hit. The daemon takes and drops them:
+    /// keying them re-encodes the whole snapshot, which costs more than
+    /// the rarely hit entry saves.
     pub fn take_fallback_artifacts(&mut self) -> Option<(InfectedNetwork, ForestArtifacts)> {
         self.pending_artifacts.take()
     }
@@ -608,7 +616,9 @@ impl IncrementalRid {
             .get(&root)
             .expect("solve_component called with a live component root");
         let members = comp.members.clone();
-        let sub = self.snapshot_of(&members);
+        let mut local_of = std::mem::take(&mut self.local_of);
+        let sub = self.snapshot_of(&members, &mut local_of);
+        self.local_of = local_of;
         let arcs = usable_arcs(&sub, self.rid.alpha());
         let (signature, acyclic) = best_in_signature(sub.node_count(), &arcs);
         // Screen: if every arc the deltas added since the last
@@ -711,13 +721,15 @@ impl IncrementalRid {
 
     /// Builds the sub-snapshot induced by `slots` (which must be sorted
     /// by original id and closed under session edges), numbering nodes
-    /// by position.
-    fn snapshot_of(&self, slots: &[usize]) -> InfectedNetwork {
-        let local_of: BTreeMap<usize, usize> = slots
-            .iter()
-            .enumerate()
-            .map(|(local, &slot)| (slot, local))
-            .collect();
+    /// by position, in O(its own size): `local_of` is a slot-indexed
+    /// scratch array covering the session, of which only the entries
+    /// of `slots` are written and read.
+    fn snapshot_of(&self, slots: &[usize], local_of: &mut [usize]) -> InfectedNetwork {
+        for (local, &slot) in slots.iter().enumerate() {
+            *local_of
+                .get_mut(slot)
+                .expect("the scratch array covers every session slot") = local;
+        }
         let mut edges = Vec::new();
         for (local, &slot) in slots.iter().enumerate() {
             let out = self
@@ -725,8 +737,10 @@ impl IncrementalRid {
                 .get(slot)
                 .expect("member slots index the adjacency array");
             for &(dst_slot, sign, weight) in out {
-                let dst_local = *local_of
-                    .get(&dst_slot)
+                let dst_local = local_of
+                    .get(dst_slot)
+                    .copied()
+                    .filter(|&dst_local| slots.get(dst_local) == Some(&dst_slot))
                     .expect("session edges never cross component boundaries");
                 edges.push(Edge::new(
                     NodeId::from_index(local),

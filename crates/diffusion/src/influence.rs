@@ -69,8 +69,8 @@ fn estimate_spread<M: DiffusionModel + Sync + ?Sized>(
 /// # Errors
 ///
 /// Returns [`DiffusionError::InvalidParameter`] if `k` exceeds the node
-/// count or `runs == 0`, or any error of the underlying
-/// [`DiffusionModel::simulate`] calls.
+/// count, `runs == 0` or `runs > u32::MAX`, or any error of the
+/// underlying [`DiffusionModel::simulate`] calls.
 pub fn maximize_influence<M: DiffusionModel + Sync + ?Sized>(
     model: &M,
     graph: &SignedDigraph,

@@ -148,13 +148,21 @@ impl InfectionEstimate {
     }
 }
 
-/// Checks the shared `runs` precondition of every estimator.
+/// Checks the shared `runs` precondition of every estimator: at least
+/// one run, and no more than the `u32` tallies can count.
 pub(crate) fn check_runs(runs: usize) -> Result<(), DiffusionError> {
     if runs == 0 {
         return Err(DiffusionError::InvalidParameter {
             name: "runs",
             value: 0.0,
             constraint: "must be positive",
+        });
+    }
+    if u32::try_from(runs).is_err() {
+        return Err(DiffusionError::InvalidParameter {
+            name: "runs",
+            value: runs as f64,
+            constraint: "must be at most 4294967295, the largest count a tally holds",
         });
     }
     Ok(())
@@ -236,11 +244,12 @@ fn run_rng(master_seed: u64, run_index: usize) -> StdRng {
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls. Errors
-/// short-circuit the surviving work but cannot perturb successful
-/// results: a simulation either fails for every run (seed validation is
-/// input-determined) or for none.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0` or
+/// `runs > u32::MAX`, or any error of the underlying
+/// [`DiffusionModel::simulate`] calls. Errors short-circuit the
+/// surviving work but cannot perturb successful results: a simulation
+/// either fails for every run (seed validation is input-determined) or
+/// for none.
 pub fn par_estimate_infection_probabilities<M>(
     model: &M,
     graph: &SignedDigraph,
@@ -339,6 +348,13 @@ mod tests {
             par_estimate_infection_probabilities(&IndependentCascade::new(), &g, &seeds, 0, 0)
                 .unwrap_err();
         assert!(err.to_string().contains("runs"));
+    }
+
+    #[test]
+    fn runs_past_the_tally_range_are_rejected() {
+        assert!(check_runs(u32::MAX as usize).is_ok());
+        let err = check_runs(u32::MAX as usize + 1).unwrap_err();
+        assert!(err.to_string().contains("runs = 4294967296"), "{err}");
     }
 
     #[test]

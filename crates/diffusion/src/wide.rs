@@ -495,8 +495,9 @@ fn batch_keys(master_seed: u64, first: usize, count: usize) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0` or
+/// `runs > u32::MAX`, or [`DiffusionError::SeedOutOfBounds`] for seeds
+/// outside the graph.
 pub fn par_estimate_infection_probabilities_wide(
     model: &Mfc,
     graph: &SignedDigraph,
@@ -529,8 +530,9 @@ pub fn par_estimate_infection_probabilities_wide(
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0` or
+/// `runs > u32::MAX`, or [`DiffusionError::SeedOutOfBounds`] for seeds
+/// outside the graph.
 pub fn estimate_infection_probabilities_wide_reference(
     model: &Mfc,
     graph: &SignedDigraph,

@@ -476,32 +476,27 @@ impl SignedDigraph {
         }
 
         // Mirror consistency: both CSRs must describe the same edge set,
-        // attribute for attribute. Weights compare bitwise: the mirror is
-        // built by copying, so even NaN payloads would have to match.
-        let mut out_edges: Vec<(NodeId, NodeId, i8, u64)> = self
-            .nodes()
-            .flat_map(|u| self.out_edges(u))
-            .map(|e| (e.src, e.dst, e.sign.value(), e.weight.to_bits()))
-            .collect();
-        let mut in_edges: Vec<(NodeId, NodeId, i8, u64)> = self
-            .nodes()
-            .flat_map(|u| self.in_edges(u))
-            .map(|e| (e.src, e.dst, e.sign.value(), e.weight.to_bits()))
-            .collect();
-        out_edges.sort_unstable();
-        in_edges.sort_unstable();
-        if let Some((o, i)) = out_edges.iter().zip(in_edges.iter()).find(|(o, i)| o != i) {
-            return fail(format!(
-                "in/out mirror mismatch: out has ({}, {}, {:+}, {}), in has ({}, {}, {:+}, {})",
-                o.0,
-                o.1,
-                o.2,
-                f64::from_bits(o.3),
-                i.0,
-                i.1,
-                i.2,
-                f64::from_bits(i.3)
-            ));
+        // attribute for attribute. Walking the out-CSR in ascending
+        // source order meets the edges into each node in ascending source
+        // order, which is the order of that node's (strictly sorted)
+        // in-list, so each out-edge must equal the next unread entry of
+        // its destination's in-list. Both sides hold `edge_count` edges,
+        // so once every out-edge matched, every in-entry was read.
+        // Weights compare bitwise: the mirror is built by copying, so
+        // even NaN payloads would have to match.
+        let key = |e: EdgeRef| (e.src, e.dst, e.sign, e.weight.to_bits());
+        let show =
+            |e: EdgeRef| format!("({}, {}, {:+}, {})", e.src, e.dst, e.sign.value(), e.weight);
+        let mut in_lists: Vec<_> = self.nodes().map(|v| self.in_edges(v)).collect();
+        for out in self.edges() {
+            let mirror = in_lists.get_mut(out.dst.index()).and_then(Iterator::next);
+            if mirror.map(key) != Some(key(out)) {
+                let found = mirror.map_or_else(|| "no entry left".to_owned(), show);
+                return fail(format!(
+                    "in/out mirror mismatch: out has {}, in has {found}",
+                    show(out)
+                ));
+            }
         }
         Ok(())
     }
@@ -524,6 +519,7 @@ impl SignedDigraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn diamond() -> SignedDigraph {
         // 0 -> 1 (+.9), 0 -> 2 (-.4), 1 -> 3 (+.7), 2 -> 3 (-.2)
@@ -718,6 +714,105 @@ mod tests {
         let mut g = diamond();
         g.in_weight[0] = 0.25;
         expect_invariant(&g, "mirror mismatch");
+    }
+
+    /// The reference mirror check: both CSRs flattened to
+    /// `(src, dst, sign, weight bits)` tuples and sorted must agree.
+    fn sorted_mirror_oracle(g: &SignedDigraph) -> Result<(), String> {
+        let tuples = |edges: Vec<EdgeRef>| {
+            let mut tuples: Vec<(NodeId, NodeId, i8, u64)> = edges
+                .iter()
+                .map(|e| (e.src, e.dst, e.sign.value(), e.weight.to_bits()))
+                .collect();
+            tuples.sort_unstable();
+            tuples
+        };
+        let out_edges = tuples(g.nodes().flat_map(|u| g.out_edges(u)).collect());
+        let in_edges = tuples(g.nodes().flat_map(|u| g.in_edges(u)).collect());
+        match out_edges.iter().zip(&in_edges).find(|(o, i)| o != i) {
+            Some((o, i)) => Err(format!("out has {o:?}, in has {i:?}")),
+            None if out_edges.len() != in_edges.len() => Err("edge counts differ".into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Applies one corruption of the in-CSR, chosen by `kind`, to the
+    /// in-entry `pick` (modulo the edge count), leaving the out-CSR as
+    /// built. Some draws leave the graph as it was.
+    fn corrupt_in_csr(g: &mut SignedDigraph, kind: usize, pick: usize, to: usize) {
+        let (n, m) = (g.node_count(), g.edge_count());
+        if m == 0 {
+            return;
+        }
+        let i = pick % m;
+        // The node whose in-list holds entry `i`.
+        let v = g.in_offsets.partition_point(|&offset| offset <= i) - 1;
+        let (start, end) = (g.in_offsets[v], g.in_offsets[v + 1]);
+        match kind {
+            0 => {
+                // Rewrite the source within the gap its neighbours leave,
+                // so the list stays sorted (the draw may keep the value).
+                let lo = if i > start {
+                    g.in_src[i - 1].index() + 1
+                } else {
+                    0
+                };
+                let hi = if i + 1 < end {
+                    g.in_src[i + 1].index()
+                } else {
+                    n
+                };
+                g.in_src[i] = NodeId::from_index(lo + to % (hi - lo));
+            }
+            1 => g.in_sign[i] = -g.in_sign[i],
+            2 => g.in_weight[i] = f64::from_bits(g.in_weight[i].to_bits() ^ 1),
+            3 => {
+                // Move the entry into the in-list of node `w`, at its
+                // sorted position, and shift the offsets in between.
+                let w = to % n;
+                let (src, sign, weight) = (
+                    g.in_src.remove(i),
+                    g.in_sign.remove(i),
+                    g.in_weight.remove(i),
+                );
+                for offset in &mut g.in_offsets[v + 1..] {
+                    *offset -= 1;
+                }
+                let (lo, hi) = (g.in_offsets[w], g.in_offsets[w + 1]);
+                let at = lo + g.in_src[lo..hi].partition_point(|&s| s < src);
+                g.in_src.insert(at, src);
+                g.in_sign.insert(at, sign);
+                g.in_weight.insert(at, weight);
+                for offset in &mut g.in_offsets[w + 1..] {
+                    *offset += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn linear_mirror_check_rejects_exactly_what_the_sorted_oracle_rejects(
+            (n, edges) in (2..=8usize).prop_flat_map(|n| {
+                let edge = (0..n, 0..n, any::<bool>(), 0.0f64..=1.0);
+                (Just(n), collection::vec(edge, 0..24))
+            }),
+            kind in 0..5usize,
+            pick in any::<usize>(),
+            to in any::<usize>(),
+        ) {
+            let edges = edges.into_iter().filter(|&(a, b, _, _)| a != b).map(|(a, b, positive, w)| {
+                let sign = if positive { Sign::Positive } else { Sign::Negative };
+                Edge::new(NodeId::from_index(a), NodeId::from_index(b), sign, w)
+            });
+            let mut g = SignedDigraph::from_edges(n, edges).unwrap();
+            prop_assert!(g.validate().is_ok());
+            corrupt_in_csr(&mut g, kind, pick, to);
+            let linear = g.validate();
+            let oracle = sorted_mirror_oracle(&g);
+            prop_assert_eq!(linear.is_err(), oracle.is_err(), "{:?} vs {:?}", linear, oracle);
+        }
     }
 
     #[test]

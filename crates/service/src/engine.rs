@@ -10,6 +10,13 @@
 //! hashed once. Caching is invisible in results: extraction is a pure
 //! function of `(snapshot, alpha)`, so a cached answer is bit-identical
 //! to a cold one (tested below).
+//!
+//! [`RidEngine::adopt_artifacts`] files artifacts computed outside the
+//! engine, such as a watch session's full-recompute fallback. It is for
+//! library callers: the daemon drops watch fallbacks instead, because
+//! keying one re-encodes the whole snapshot, and the entry would live
+//! on the session's shard rather than the one a `rid` of that snapshot
+//! is routed to.
 
 use crate::cache::{CacheMetrics, LruCache};
 use crate::fingerprint::snapshot_fingerprint;
@@ -112,6 +119,12 @@ impl EngineStats {
         })
     }
 }
+
+/// The most runs one [`RidEngine::simulate`] call accepts: 1,024 wide
+/// batches of 64 lanes, enough to put the standard error of every
+/// estimated probability at or below 0.002, and a bound on how long one
+/// request can hold a shard worker.
+pub const MAX_SIMULATE_RUNS: usize = 65_536;
 
 /// Thread-safe, long-lived RID inference engine.
 ///
@@ -278,8 +291,8 @@ impl RidEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`DiffusionError`] for out-of-bounds or duplicate seeds
-    /// or `runs == 0`.
+    /// Returns [`DiffusionError`] for out-of-bounds or duplicate seeds,
+    /// `runs == 0` or `runs` above [`MAX_SIMULATE_RUNS`].
     pub fn simulate(
         &self,
         seeds: &SeedSet,
@@ -288,6 +301,13 @@ impl RidEngine {
     ) -> Result<InfectionEstimate, DiffusionError> {
         self.simulate_requests.inc();
         seeds.validate_against(&self.graph)?;
+        if runs > MAX_SIMULATE_RUNS {
+            return Err(DiffusionError::InvalidParameter {
+                name: "runs",
+                value: runs as f64,
+                constraint: "must be at most 65536 (MAX_SIMULATE_RUNS)",
+            });
+        }
         par_estimate_infection_probabilities_wide(
             &self.model,
             &self.graph,
@@ -299,7 +319,9 @@ impl RidEngine {
 
     /// Adopts forest artifacts computed outside the engine — a watch
     /// session's full-recompute fallback — into the artifact cache, so
-    /// a later `rid` query on the same snapshot is a warm hit.
+    /// a later `rid` query on the same snapshot is a warm hit. The key
+    /// is [`snapshot_fingerprint`], which re-encodes the snapshot; the
+    /// daemon does not call this (see the module docs).
     ///
     /// `previous` is the key returned by the session's last adoption:
     /// the superseded entry is removed in the same lock acquisition
@@ -500,6 +522,32 @@ mod tests {
         let out_of_bounds = SeedSet::single(NodeId(1_000_000), Sign::Positive);
         assert!(engine.simulate(&out_of_bounds, 8, 9).is_err());
         assert_eq!(engine.stats().simulate_requests, 3);
+    }
+
+    #[test]
+    fn simulate_accepts_runs_up_to_the_cap_and_refuses_one_more() {
+        let graph =
+            SignedDigraph::from_edges(2, [Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5)])
+                .unwrap();
+        let engine = RidEngine::new(graph, RidConfig::default(), 1).unwrap();
+        let seeds = SeedSet::single(NodeId(0), Sign::Positive);
+        let estimate = engine.simulate(&seeds, MAX_SIMULATE_RUNS, 3).unwrap();
+        assert_eq!(estimate.runs(), MAX_SIMULATE_RUNS);
+        let err = engine
+            .simulate(&seeds, MAX_SIMULATE_RUNS + 1, 3)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DiffusionError::InvalidParameter {
+                name: "runs",
+                value: (MAX_SIMULATE_RUNS + 1) as f64,
+                constraint: "must be at most 65536 (MAX_SIMULATE_RUNS)",
+            }
+        );
+        assert!(
+            err.to_string().contains(&MAX_SIMULATE_RUNS.to_string()),
+            "{err}"
+        );
     }
 
     #[test]

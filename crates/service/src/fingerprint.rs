@@ -12,8 +12,11 @@
 //! canonical client's span *is* the canonical encoding). That key
 //! routes the request and keys the shard's artifact and result caches.
 //! [`snapshot_fingerprint`] is the same key for callers that hold a
-//! decoded snapshot and no request bytes: watch-session adoption,
-//! library callers of the engine, and clients that ask by fingerprint.
+//! decoded snapshot and no request bytes: library callers of the
+//! engine (`RidEngine::rid`, and `RidEngine::adopt_artifacts`, which
+//! hashes the snapshot it adopts) and clients that ask by fingerprint.
+//! The daemon never calls it: it does not adopt watch-session
+//! fallbacks (DESIGN.md §10).
 
 use isomit_diffusion::InfectedNetwork;
 

@@ -1177,9 +1177,6 @@ struct WatchSession {
     session: IncrementalRid,
     /// Every N-th delta gets a full answer; the rest get acks.
     answer_every: u64,
-    /// Cache key of the last fallback artifacts adopted into the
-    /// shard's engine, superseded on the next adoption.
-    adopted_key: Option<(u64, u64)>,
 }
 
 fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
@@ -1248,7 +1245,6 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                     WatchSession {
                         session: *session,
                         answer_every,
-                        adopted_key: None,
                     },
                 );
                 let result = Value::Object(vec![
@@ -1258,7 +1254,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                 conn.reply(&ok_line(id, result), shared);
             }
             Work::WatchDelta { delta } => {
-                serve_watch_delta(id, &delta, &conn, &mut sessions, shard, shared);
+                serve_watch_delta(id, &delta, &conn, &mut sessions, shared);
             }
             Work::WatchClose => {
                 let line = match sessions.remove(&conn.id) {
@@ -1346,7 +1342,6 @@ fn serve_watch_delta(
     delta: &RidDelta,
     conn: &Arc<Conn>,
     sessions: &mut HashMap<u64, WatchSession>,
-    shard: &Arc<Shard>,
     shared: &Arc<Shared>,
 ) {
     let Some(ws) = sessions.get_mut(&conn.id) else {
@@ -1374,17 +1369,12 @@ fn serve_watch_delta(
         if outcome.full_recompute {
             shared.watch_fallbacks.inc();
         }
-        // A fallback recomputed the full forest from scratch; adopt it
-        // into this shard's artifact cache (superseding the session's
-        // previous entry) so a plain `rid` on the same snapshot is warm.
-        if let Some((snapshot, artifacts)) = ws.session.take_fallback_artifacts() {
-            ws.adopted_key = Some(shard.engine.adopt_artifacts(
-                &snapshot,
-                &ws.session.config(),
-                artifacts,
-                ws.adopted_key,
-            ));
-        }
+        // A fallback leaves its snapshot and artifacts for adoption into
+        // an artifact cache. The daemon drops them: keying them costs a
+        // re-encode of the whole snapshot, and a `rid` of that snapshot
+        // is routed by its own hash, usually to another shard
+        // (DESIGN.md §10).
+        drop(ws.session.take_fallback_artifacts());
         let mut payload = result.to_json_value();
         if let Value::Object(fields) = &mut payload {
             fields.push(("deltas".into(), Value::Number(deltas as f64)));

@@ -3,8 +3,11 @@
 //! answer byte-for-byte against the in-process pipeline.
 
 use isomit_core::{IncrementalRid, InitiatorDetector, Rid, RidConfig, RidDelta, RidTree};
-use isomit_diffusion::{par_estimate_infection_probabilities_wide, InfectedNetwork, Mfc, SeedSet};
+use isomit_diffusion::{
+    par_estimate_infection_probabilities_wide, DiffusionError, InfectedNetwork, Mfc, SeedSet,
+};
 use isomit_graph::{NodeId, NodeState, Sign, SignedDigraph};
+use isomit_service::engine::MAX_SIMULATE_RUNS;
 use isomit_service::protocol::ErrorKind;
 use isomit_service::{Client, ClientError, DetectorKind, WatchReply};
 use isomit_telemetry::names;
@@ -248,6 +251,38 @@ fn simulate_matches_in_process_monte_carlo() {
         other => panic!("expected a remote diffusion error, got {other:?}"),
     }
 
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_oversized_simulate_is_refused_and_the_shard_answers_on() {
+    let daemon = Daemon::spawn(&["--shards", "1"]);
+    let mut client = daemon.client();
+    let seeds = SeedSet::single(NodeId::from_index(0), Sign::Positive);
+    // The line carries `"runs":65537`; the refusal comes before any
+    // batch runs (a debug build would otherwise simulate for minutes).
+    match client.simulate(&seeds, MAX_SIMULATE_RUNS + 1, 1) {
+        Err(ClientError::Remote(err)) => {
+            assert_eq!(err.kind, ErrorKind::Diffusion, "{err}");
+            assert!(
+                matches!(
+                    err.diffusion_detail(),
+                    Some(DiffusionError::InvalidParameter { name: "runs", .. })
+                ),
+                "{err}"
+            );
+        }
+        other => panic!("expected a remote diffusion error, got {other:?}"),
+    }
+    client.health().expect("health right after the refusal");
+    let snap = snapshot(1);
+    let served = client
+        .rid(&snap, None)
+        .expect("rid right after the refusal");
+    assert_eq!(
+        served.detection,
+        expected_detection(&snap, RidConfig::default())
+    );
     client.shutdown().expect("shutdown");
 }
 
@@ -684,6 +719,51 @@ fn stats_expose_watch_telemetry() {
     );
 
     client.watch_close().expect("watch_close");
+    client.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_watch_session_leaves_the_artifact_caches_alone() {
+    // One shard: an entry the session left in any artifact cache would
+    // be the one a `rid` of its snapshot meets.
+    let daemon = Daemon::spawn(&["--shards", "1"]);
+    let mut client = daemon.client();
+    client.watch_open(None, None).expect("watch_open");
+    let mut mirror = IncrementalRid::new(RidConfig::default()).expect("mirror session");
+    let mut last = None;
+    for delta in watch_script() {
+        mirror.apply(&delta).expect("mirror apply");
+        let reply = client.watch_delta(&delta).expect("watch_delta");
+        last = Some(
+            reply
+                .answer()
+                .expect("answer_every defaults to 1: every delta answers")
+                .clone(),
+        );
+    }
+    client.watch_close().expect("watch_close");
+    let fallbacks = client
+        .telemetry()
+        .expect("telemetry")
+        .counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS);
+    assert!(
+        fallbacks.is_some_and(|n| n >= 1),
+        "the first answer (one node, all dirty) falls back: {fallbacks:?}"
+    );
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.cache_entries, 0, "{stats:?}");
+    assert_eq!(stats.cache_superseded, 0, "{stats:?}");
+
+    let last = last.expect("the script answers");
+    let served = client
+        .rid(&mirror.snapshot(), None)
+        .expect("full-form rid of the final snapshot");
+    assert_eq!(
+        served.detection.to_json_value().to_json(),
+        last.detection.to_json_value().to_json(),
+        "a cold rid of the session's snapshot answers like its last watch answer"
+    );
     client.shutdown().expect("shutdown");
 }
 

@@ -108,7 +108,9 @@ pub mod names {
     /// Watch sessions rejected by the admission cap (counter).
     pub const WATCH_SESSIONS_SHED: &str = "watch.sessions_shed";
     /// Artifact-cache entries evicted because a newer snapshot of the
-    /// same watch session superseded them (counter).
+    /// same watch session superseded them (counter). Only library
+    /// callers of `RidEngine::adopt_artifacts` move it; the daemon does
+    /// not adopt watch fallbacks.
     pub const SERVICE_CACHE_SUPERSEDED: &str = "service.cache.superseded";
     /// Serialized-result cache hits on the by-fingerprint fast path
     /// (counter).
