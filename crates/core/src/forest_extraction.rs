@@ -6,7 +6,6 @@ use isomit_forest::{
     BranchingArena, WeightedArc,
 };
 use isomit_graph::{GraphError, NodeId, NodeState, Sign};
-use rayon::prelude::*;
 use std::cell::{Cell, RefCell};
 
 thread_local! {
@@ -29,9 +28,8 @@ thread_local! {
 /// that answer many queries against one snapshot — the §III-E3 model
 /// selection sweep, the serving engine's cache — must run it exactly
 /// once per snapshot. This counter exists so regression tests can assert
-/// that property; it is thread-local (the inner tree materialization may
-/// fan out to rayon workers, but the invocation itself is counted on the
-/// caller), monotone, and never reset.
+/// that property; it is thread-local (extraction runs entirely on the
+/// calling thread), monotone, and never reset.
 ///
 /// # Examples
 ///
@@ -323,13 +321,9 @@ pub fn usable_arcs(snapshot: &InfectedNetwork, alpha: f64) -> Vec<WeightedArc> {
 /// 3. split the branching into its trees.
 ///
 /// Returns the trees (ordered by root snapshot id) and the number of
-/// weakly-connected infected components.
-///
-/// Trees are materialized in parallel, one task per branching root
-/// (configure the worker count with `RAYON_NUM_THREADS` or a rayon
-/// `ThreadPool`); each tree depends only on its own root's reachable
-/// set, and the final sort by root snapshot id makes the output
-/// independent of thread count and scheduling order.
+/// weakly-connected infected components. The whole pipeline runs on the
+/// calling thread; a server gets its parallelism from answering several
+/// snapshots at once, not from splitting one.
 ///
 /// The output is **bit-identical** to
 /// [`extract_cascade_forest_reference`], the retained single-run
@@ -415,15 +409,16 @@ pub fn extract_cascade_forest_reference(
 }
 
 /// Shared tail of both extraction paths: splits a branching into cascade
-/// trees, materialized in parallel and sorted by root snapshot id.
+/// trees, one per root. [`Branching::roots`] ascends and a tree's root
+/// keeps its snapshot id, so the trees come out ordered by root snapshot
+/// id.
 fn materialize_forest(snapshot: &InfectedNetwork, branching: &Branching) -> Vec<CascadeTree> {
     let children = branching.children();
-    let roots = branching.roots();
-    let mut trees: Vec<CascadeTree> = roots
-        .par_iter()
-        .map(|&root| build_tree(snapshot, &children, root))
+    let trees: Vec<CascadeTree> = branching
+        .roots()
+        .into_iter()
+        .map(|root| build_tree(snapshot, &children, root))
         .collect();
-    trees.sort_by_key(|t| t.snapshot_id(t.root()));
     debug_assert!(
         trees.iter().all(|t| t.validate(snapshot).is_ok()),
         "extract_cascade_forest produced an invalid tree: {:?}",

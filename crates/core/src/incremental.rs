@@ -15,7 +15,7 @@
 //! The headline contract, pinned by the `incremental` tier-1 suite and
 //! golden fixtures: replaying any valid delta sequence yields a
 //! [`RidResult`] **bit-identical** (objective included) to a cold
-//! [`Rid`] run on the final snapshot, at any rayon thread count.
+//! [`Rid`] run on the final snapshot.
 //!
 //! Why per-component answers compose bit-identically: the global CSR
 //! stores edges sorted by `(src, dst)`, so a component's sub-snapshot

@@ -24,7 +24,6 @@ use crate::rid::{Rid, RidObjective};
 use isomit_diffusion::InfectedNetwork;
 use isomit_graph::NodeState;
 use isomit_telemetry::{names, Histogram};
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Cached handle into the process-global telemetry registry; looked up
@@ -105,7 +104,7 @@ impl Rid {
         let _span = extract_stage_histogram().span();
         let (trees, component_count) = extract_cascade_forest(snapshot, self.alpha());
         let supports: Vec<Vec<f64>> = trees
-            .par_iter()
+            .iter()
             .map(|tree| external_support(snapshot, tree, self.alpha()))
             .collect();
         ForestArtifacts {
@@ -120,9 +119,9 @@ impl Rid {
     /// artifacts, skipping extraction entirely.
     ///
     /// Bit-identical to [`detect`](crate::InitiatorDetector::detect) on
-    /// the same snapshot: trees are solved in parallel but folded in
-    /// extraction order, so the objective sum and the sorted initiator
-    /// list do not depend on thread count or cache state.
+    /// the same snapshot: trees are solved and folded in extraction
+    /// order, so the objective sum and the sorted initiator list do not
+    /// depend on cache state.
     ///
     /// # Errors
     ///
@@ -142,15 +141,10 @@ impl Rid {
                 artifact_alpha: artifacts.alpha,
             });
         }
-        let outcomes: Vec<_> = artifacts
-            .trees
-            .par_iter()
-            .zip(artifacts.supports.par_iter())
-            .map(|(tree, support)| self.solve_tree(tree, support))
-            .collect();
         let mut initiators = Vec::new();
         let mut objective = 0.0;
-        for outcome in outcomes {
+        for (tree, support) in artifacts.trees.iter().zip(&artifacts.supports) {
+            let outcome = self.solve_tree(tree, support);
             objective += outcome.objective;
             for (sub_id, state) in outcome.initiators {
                 let node = snapshot

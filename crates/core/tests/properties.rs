@@ -211,6 +211,14 @@ proptest! {
         let alpha = 3.0;
         let (trees, components) = extract_cascade_forest(&snapshot, alpha);
         prop_assert!(trees.len() >= components || snapshot.node_count() == 0);
+        // Trees come out ordered by root snapshot id; the DP folds the
+        // objective in this order.
+        for pair in trees.windows(2) {
+            prop_assert!(
+                pair[0].snapshot_id(pair[0].root()) < pair[1].snapshot_id(pair[1].root()),
+                "tree roots out of order"
+            );
+        }
         let mut seen = vec![false; snapshot.node_count()];
         for tree in &trees {
             for local in 0..tree.len() {

@@ -35,12 +35,19 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Locates the workspace root: the parent of the `xtask` manifest dir.
+///
+/// `cargo run` and `cargo test` set `CARGO_MANIFEST_DIR` at run time to
+/// the checkout they were invoked in. That is read first, because the
+/// compile-time value names the checkout the binary was built from: a
+/// copy of the repository that reuses another checkout's target dir
+/// would otherwise check the other checkout's files. The compile-time
+/// value is the fallback for a binary started directly.
 pub fn workspace_root() -> PathBuf {
-    let manifest = env!("CARGO_MANIFEST_DIR");
-    Path::new(manifest)
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    manifest
         .parent()
-        .unwrap_or_else(|| Path::new(manifest))
-        .to_path_buf()
+        .map_or_else(|| manifest.clone(), Path::to_path_buf)
 }
 
 /// Collects every `.rs` file under `crates/*/src` and the root `src/`,
