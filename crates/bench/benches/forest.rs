@@ -1,9 +1,13 @@
 //! Micro-benchmarks for the structural algorithms: connected
-//! components, Chu-Liu/Edmonds maximum branching, and the binary-tree
-//! transformation.
+//! components, Chu-Liu/Edmonds maximum branching (the served
+//! component-wise run beside the single-run oracle), and the
+//! binary-tree transformation.
 
 use isomit_bench::report::{BenchmarkId, Harness};
-use isomit_forest::{binarize, maximum_branching, weakly_connected_components, WeightedArc};
+use isomit_forest::{
+    binarize, maximum_branching, maximum_branching_components, weakly_connected_components,
+    BranchingArena, UnionFind, WeightedArc,
+};
 use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,11 +60,35 @@ fn bench_branching(c: &mut Harness) {
                 })
             })
             .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &arcs, |b, arcs| {
+        group.bench_with_input(BenchmarkId::new("oracle", n), &arcs, |b, arcs| {
             b.iter(|| maximum_branching(n, arcs))
+        });
+        // The served run, against components found outside the timed
+        // closure and one arena reused across iterations, as the RID
+        // engine's thread-local arena is.
+        let components = arc_components(n, &arcs);
+        let mut arena = BranchingArena::default();
+        group.bench_with_input(BenchmarkId::new("components", n), &arcs, |b, arcs| {
+            b.iter(|| maximum_branching_components(n, arcs, &components, &mut arena))
         });
     }
     group.finish();
+}
+
+/// Weak components of `(0..n, arcs)` in the shape
+/// `weakly_connected_components` returns: ascending by smallest member,
+/// members ascending.
+fn arc_components(n: usize, arcs: &[WeightedArc]) -> Vec<Vec<NodeId>> {
+    let mut sets = UnionFind::new(n);
+    for a in arcs {
+        sets.union(a.src, a.dst);
+    }
+    let mut by_root: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for v in 0..n {
+        by_root[sets.find(v)].push(NodeId::from_index(v));
+    }
+    by_root.retain(|c| !c.is_empty());
+    by_root
 }
 
 fn bench_binarize(c: &mut Harness) {

@@ -138,12 +138,13 @@ impl Default for ExpOptions {
 
 impl ExpOptions {
     /// Parses `--scale`, `--trials`, `--seed`, `--threads`, `--full`
-    /// from an argument iterator, ignoring anything it does not
-    /// recognize.
+    /// from an argument iterator.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed values.
+    /// Panics with a usage message on an unknown flag (a mistyped flag
+    /// would otherwise run, and record, the default configuration) and
+    /// on malformed values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut opts = ExpOptions::default();
         let mut iter = args.into_iter();
@@ -166,7 +167,7 @@ impl ExpOptions {
                     opts.threads = Some(v.parse().expect("--threads needs an integer"));
                 }
                 "--full" => opts.scale = 1.0,
-                _ => {}
+                other => panic!("unknown flag `{other}`"),
             }
         }
         assert!(
@@ -378,6 +379,12 @@ mod tests {
         assert_eq!(opts.seed, 9);
         let opts = ExpOptions::parse(["--full".to_string()]);
         assert_eq!(opts.scale, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag")]
+    fn options_refuse_unknown_flags() {
+        ExpOptions::parse(["--thread".to_string(), "1".to_string()]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// lint:allow-file(indexing) per-component arrays are allocated with the component's node count; sub-ids come from the same component enumeration and CascadeTree::validate() re-checks the parent structure
+// lint:allow-file(indexing) per-tree arrays are allocated with the tree's node count and the support pass's arrays with the snapshot's, which snapshot ids index; CascadeTree::validate() re-checks the parent structure
 use crate::likelihood::g_factor_discounted;
 use isomit_diffusion::InfectedNetwork;
 use isomit_forest::{
@@ -479,9 +479,9 @@ fn build_tree(snapshot: &InfectedNetwork, children: &[Vec<usize>], root: usize) 
     }
 }
 
-/// Computes each tree node's **external support**: the noisy-or
-/// probability that it could be activated by some *plausible alternative
-/// activator* in `G_I`,
+/// Computes the **external support** of every node of a forest: the
+/// noisy-or probability that it could be activated by some *plausible
+/// alternative activator* in `G_I`,
 /// `s_v = 1 − Π_u (1 − g̃(u, v))`,
 /// where `g̃` is the flip-discounted activation likelihood and `u`
 /// ranges over the in-neighbours of `v` that are **neither its tree
@@ -495,9 +495,16 @@ fn build_tree(snapshot: &InfectedNetwork, children: &[Vec<usize>], root: usize) 
 /// single-tree-path product loses: a node with many plausible activators
 /// is well explained even when its tree path is weak, so RID's
 /// probability-sum objective will not waste an initiator on it — splits
-/// concentrate where explanations are genuinely missing. Indexed by the
-/// tree's local ids; see
+/// concentrate where explanations are genuinely missing.
+///
+/// `trees` must partition the snapshot, as the output of
+/// [`extract_cascade_forest`] does. `supports[i][local]` is the support
+/// of tree `i`'s local node `local`; see
 /// [`TreeDp::solve_probability_sum_with_support`](crate::TreeDp::solve_probability_sum_with_support).
+///
+/// # Panics
+///
+/// Panics if the trees hold more or fewer nodes than the snapshot.
 ///
 /// # Examples
 ///
@@ -517,70 +524,75 @@ fn build_tree(snapshot: &InfectedNetwork, children: &[Vec<usize>], root: usize) 
 /// )?;
 /// let snapshot = InfectedNetwork::from_parts(g, vec![NodeState::Positive; 3]);
 /// let (trees, _) = extract_cascade_forest(&snapshot, 2.0);
-/// // trees[0] is rooted at node 0 and contains node 2.
-/// let support = external_support(&snapshot, &trees[0], 2.0);
-/// assert_eq!(support, vec![0.0, 0.5]);
+/// // trees[0] is rooted at node 0 and contains node 2; trees[1] is node 1.
+/// let supports = external_support(&snapshot, &trees, 2.0);
+/// assert_eq!(supports, vec![vec![0.0, 0.5], vec![0.0]]);
 /// # Ok::<(), isomit_graph::GraphError>(())
 /// ```
-pub fn external_support(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f64) -> Vec<f64> {
-    let n = tree.len();
-    // Snapshot id of each local node's parent (or None for the root).
-    let mut parent_snapshot: Vec<Option<NodeId>> = vec![None; n];
-    for local in 0..n {
-        for &c in tree.children(local) {
-            parent_snapshot[c] = Some(tree.snapshot_id(local));
-        }
-    }
-    // Euler intervals for O(1) is-descendant tests, plus a snapshot-id →
-    // local-id map restricted to this tree.
+pub fn external_support(
+    snapshot: &InfectedNetwork,
+    trees: &[CascadeTree],
+    alpha: f64,
+) -> Vec<Vec<f64>> {
+    // One Euler tour of the whole forest on one clock, indexed by
+    // snapshot id. The trees partition the snapshot, so every entry is
+    // written exactly once and the trees' intervals are disjoint: `u` is
+    // a descendant of `v` exactly when `v`'s interval holds `u`'s, with
+    // no lookup of which tree `u` is in.
+    let n = snapshot.node_count();
     let mut tin = vec![0u32; n];
     let mut tout = vec![0u32; n];
+    let mut parent: Vec<Option<NodeId>> = vec![None; n];
     let mut clock = 0u32;
-    let mut stack = vec![(tree.root(), false)];
-    while let Some((x, expanded)) = stack.pop() {
-        if expanded {
-            tout[x] = clock;
-        } else {
-            tin[x] = clock;
-            clock += 1;
-            stack.push((x, true));
-            for &c in tree.children(x) {
-                stack.push((c, false));
+    let mut stack = Vec::new();
+    for tree in trees {
+        stack.push((tree.root(), false));
+        while let Some((x, expanded)) = stack.pop() {
+            let v = tree.snapshot_id(x);
+            if expanded {
+                tout[v.index()] = clock;
+            } else {
+                tin[v.index()] = clock;
+                clock += 1;
+                stack.push((x, true));
+                for &c in tree.children(x) {
+                    parent[tree.snapshot_id(c).index()] = Some(v);
+                    stack.push((c, false));
+                }
             }
         }
     }
-    let mut local_of: std::collections::BTreeMap<NodeId, usize> = std::collections::BTreeMap::new();
-    for local in 0..n {
-        local_of.insert(tree.snapshot_id(local), local);
-    }
-    let is_descendant = |anc: usize, node: usize| tin[anc] <= tin[node] && tout[node] <= tout[anc];
+    assert_eq!(clock as usize, n, "the trees must partition the snapshot");
+    let is_descendant = |anc: NodeId, u: NodeId| {
+        tin[anc.index()] <= tin[u.index()] && tout[u.index()] <= tout[anc.index()]
+    };
 
-    (0..n)
-        .map(|local| {
-            let v = tree.snapshot_id(local);
-            let mut miss = 1.0;
-            for e in snapshot.graph().in_edges(v) {
-                if Some(e.src) == parent_snapshot[local] {
-                    continue;
-                }
-                if let Some(&src_local) = local_of.get(&e.src) {
-                    if is_descendant(local, src_local) {
-                        continue;
+    trees
+        .iter()
+        .map(|tree| {
+            (0..tree.len())
+                .map(|local| {
+                    let v = tree.snapshot_id(local);
+                    let mut miss = 1.0;
+                    for e in snapshot.graph().in_edges(v) {
+                        if Some(e.src) == parent[v.index()] || is_descendant(v, e.src) {
+                            continue;
+                        }
+                        // Strict factor: an inconsistent in-edge is not a
+                        // plausible *alternative* activator on its own (the
+                        // flip explanation needs a second, consistent edge).
+                        let g = crate::likelihood::g_factor(
+                            alpha,
+                            snapshot.state(e.src),
+                            e.sign,
+                            snapshot.state(e.dst),
+                            e.weight,
+                        );
+                        miss *= 1.0 - g;
                     }
-                }
-                // Strict factor: an inconsistent in-edge is not a
-                // plausible *alternative* activator on its own (the flip
-                // explanation needs a second, consistent edge).
-                let g = crate::likelihood::g_factor(
-                    alpha,
-                    snapshot.state(e.src),
-                    e.sign,
-                    snapshot.state(e.dst),
-                    e.weight,
-                );
-                miss *= 1.0 - g;
-            }
-            1.0 - miss
+                    1.0 - miss
+                })
+                .collect()
         })
         .collect()
 }
@@ -744,13 +756,52 @@ mod tests {
         let (trees, _) = extract_cascade_forest(&s, 2.0);
         assert_eq!(trees.len(), 1);
         let t = &trees[0];
-        let support = external_support(&s, t, 2.0);
+        let support = &external_support(&s, &trees, 2.0)[0];
         let local2 = (0..t.len())
             .find(|&l| t.snapshot_id(l) == NodeId(2))
             .unwrap();
         assert!((support[local2] - 0.4).abs() < 1e-12);
         // The root has no parent, so every in-edge counts (it has none).
         assert_eq!(support[t.root()], 0.0);
+    }
+
+    #[test]
+    fn external_support_crosses_trees_but_never_counts_descendants() {
+        // Two trees, 0 -> 1 and 2 -> 3 -> 4 (each closes a cycle, 1 -> 0
+        // and 4 -> 2, that Edmonds breaks at the light arc). Node 1 is a
+        // descendant in its own tree and a non-parent in-neighbour of 3
+        // and 4 in the later tree; node 3 feeds 1 the other way. Every
+        // arc is consistent and positive, so g = min(1, 2w) exactly.
+        let s = snapshot(
+            &[
+                (0, 1, Sign::Positive, 0.4),
+                (1, 0, Sign::Positive, 0.1), // from a descendant: ignored
+                (2, 3, Sign::Positive, 0.45),
+                (1, 3, Sign::Positive, 0.25), // other tree: g = 0.5
+                (3, 4, Sign::Positive, 0.4),
+                (4, 2, Sign::Positive, 0.125), // from a descendant: ignored
+                (1, 4, Sign::Positive, 0.0625), // other tree: g = 0.125
+                (3, 1, Sign::Positive, 0.125), // other tree: g = 0.25
+            ],
+            &[P; 5],
+        );
+        let artifacts = crate::Rid::new(2.0, 0.1).unwrap().extract_stage(&s);
+        let members: Vec<Vec<NodeId>> = artifacts
+            .trees()
+            .iter()
+            .map(|t| (0..t.len()).map(|l| t.snapshot_id(l)).collect())
+            .collect();
+        assert_eq!(
+            members,
+            vec![
+                vec![NodeId(0), NodeId(1)],
+                vec![NodeId(2), NodeId(3), NodeId(4)]
+            ]
+        );
+        assert_eq!(
+            artifacts.supports(),
+            &[vec![0.0, 0.25], vec![0.0, 0.5, 0.125]]
+        );
     }
 
     #[test]

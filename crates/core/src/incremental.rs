@@ -635,11 +635,12 @@ impl IncrementalRid {
             Some(screen) if screen.acyclic && screen.signature == signature => (true, screen.trees),
             _ => (false, extract_cascade_forest(&sub, self.rid.alpha()).0),
         };
-        let mut solved = Vec::with_capacity(trees.len());
-        for tree in &trees {
-            let support = external_support(&sub, tree, self.rid.alpha());
-            solved.push(self.solve_tree(&sub, tree, &support));
-        }
+        let supports = external_support(&sub, &trees, self.rid.alpha());
+        let solved = trees
+            .iter()
+            .zip(&supports)
+            .map(|(tree, support)| self.solve_tree(&sub, tree, support))
+            .collect();
         let comp = self
             .components
             .get_mut(&root)

@@ -103,10 +103,7 @@ impl Rid {
     pub fn extract_stage(&self, snapshot: &InfectedNetwork) -> ForestArtifacts {
         let _span = extract_stage_histogram().span();
         let (trees, component_count) = extract_cascade_forest(snapshot, self.alpha());
-        let supports: Vec<Vec<f64>> = trees
-            .iter()
-            .map(|tree| external_support(snapshot, tree, self.alpha()))
-            .collect();
+        let supports = external_support(snapshot, &trees, self.alpha());
         ForestArtifacts {
             alpha: self.alpha(),
             trees,

@@ -1,66 +1,87 @@
-// lint:allow-file(indexing) arena-based Chu-Liu/Edmonds indexes per-node scratch arrays sized from the component's node count; Branching::validate() re-checks the parent structure in debug builds
-//! Component-wise maximum-branching driver with reusable scratch arenas.
+// lint:allow-file(indexing) lazy Chu-Liu/Edmonds indexes per-node arrays sized to the component's nodes plus its super-nodes, and per-edge arrays sized to its level-0 edges; Branching::validate() re-checks the parent structure in debug builds
+//! Component-wise maximum branching: a lazy Chu-Liu/Edmonds run per
+//! component against reusable scratch arenas.
 //!
-//! [`maximum_branching`](crate::maximum_branching) solves the whole node
-//! range in one Chu-Liu/Edmonds run. When the input decomposes into many
-//! weakly-connected components — the normal shape of an infected snapshot,
-//! where each component is one rumor cascade (paper §III-C) — that single
-//! run wastes work: every contraction level re-allocates `best_in`,
-//! `cycle_of` and edge vectors sized for *all* nodes, and singleton
-//! components flow through the full machinery just to become roots.
+//! [`maximum_branching`](crate::maximum_branching), the oracle, solves the
+//! whole node range level by level: each level picks every node's best
+//! in-edge, contracts all of its cycles at once, and copies the surviving
+//! edges, re-weighted, into the next level. [`maximum_branching_components`]
+//! computes the **bit-identical** branching one component at a time
+//! against a [`BranchingArena`], and contracts lazily:
 //!
-//! [`maximum_branching_components`] produces the **bit-identical**
-//! branching by solving each component independently against a
-//! [`BranchingArena`] of pooled buffers:
+//! * each node's in-list is built once from the level-0 edges (the
+//!   component's arcs in input order, then one 0-weight virtual-root edge
+//!   per node), and its best in-edge is picked as the list is built;
+//! * a walk follows best in-edges from each node in ascending order. When
+//!   it reaches a node already on its path, that cycle becomes a new
+//!   super-node at once: each member's in-edges from outside the cycle
+//!   lose the weight of the member's best in-edge and are relinked into
+//!   the super-node's in-list, edges inside the cycle are dropped, and the
+//!   walk goes on from the super-node's best in-edge;
+//! * expansion runs down the contraction tree: a super-node's chosen edge
+//!   goes to the member holding its head, and every other member keeps
+//!   its own best in-edge.
 //!
-//! * arcs are grouped per component with a counting sort that preserves
-//!   input order, so each sub-run sees its arcs in the same relative order
-//!   as the global run — the deterministic tie-break ("heavier wins; at
-//!   equal weight a real arc beats the virtual root, earliest input arc
-//!   wins") therefore selects exactly the same arcs;
-//! * best-in-edge selection keeps dense per-destination incumbent
-//!   weight/flag arrays, replacing the reference's dependent
-//!   `edges[best_in[dst]]` re-read with a branch-cheap single pass;
-//! * singleton and arc-free components exit early as roots;
-//! * `total_weight` is re-accumulated in one global ascending-node pass,
-//!   reproducing the reference implementation's floating-point summation
-//!   order bit for bit.
+//! So an edge is read once to be picked and once per cycle that contracts
+//! around its head, where the oracle reads every surviving edge twice
+//! per level. Three facts make the result the oracle's, bit for bit:
 //!
-//! The determinism suite and the golden fixtures pin this equivalence
-//! end-to-end; the unit tests below pin it structurally (equal
-//! `parent`/`parent_arc`, bit-equal `total_weight`).
+//! * the oracle's tie rule (heavier first, a real arc before the virtual
+//!   root, then the earlier edge) is, on the level-0 order where every
+//!   real arc precedes every root edge, "heavier first, then the lower
+//!   level-0 index": a strict total order, so scan order does not matter;
+//! * a node outside every cycle keeps its in-edges, their weights and its
+//!   best in-edge, so every new cycle passes through a new super-node,
+//!   and contracting cycles one at a time yields the same nested cycles
+//!   as contracting a whole level at once;
+//! * every edge gets the same subtractions in the same inner-to-outer
+//!   order, so every weight is bit-equal. (Tarjan's lazy offsets would sum
+//!   the subtractions in another order, and the floats would differ.)
+//!
+//! `total_weight` is re-accumulated in one global ascending-node pass, the
+//! oracle's summation order. Singleton and arc-free components exit early
+//! as roots. The unit tests below and the forest property tests pin equal
+//! `parent`/`parent_arc` and a bit-equal `total_weight`.
 
-use crate::branching::{Branching, WeightedArc, WorkEdge, ROOT_ARC};
+use crate::branching::{Branching, WeightedArc};
+use crate::components::UnionFind;
 use isomit_graph::NodeId;
 
-/// Sentinel for "no edge / no cycle / unassigned" in the arena's dense
-/// index vectors (the arena stores plain `usize` instead of
-/// `Option<usize>` to keep the scratch vectors `memset`-cheap).
+/// Sentinel for "no edge / no node" in the arena's index vectors (plain
+/// `usize` instead of `Option<usize>` keeps them `memset`-cheap).
 const NONE: usize = usize::MAX;
 
-/// One contraction level of a component-local Edmonds run.
-///
-/// Mirrors the reference implementation's level records, but with
-/// `usize::MAX` sentinels instead of `Option` and with every vector pooled
-/// inside [`BranchingArena`] so repeated runs allocate nothing.
-#[derive(Debug, Default)]
-struct Level {
-    node_count: usize,
-    edges: Vec<WorkEdge>,
-    /// Chosen in-edge per node (index into `edges`), `NONE` for the root.
-    best_in: Vec<usize>,
-    /// Cycle membership per node, `NONE` outside every cycle.
-    cycle_of: Vec<usize>,
+/// Walk states: not reached yet, on the current walk, or done (its best
+/// in-edges lead to the virtual root, and they never change again).
+const NEW: u8 = 0;
+const ON_PATH: u8 = 1;
+const DONE: u8 = 2;
+
+/// A level-0 edge of a component run. Its weight is re-weighted in place
+/// each time a cycle contracts around its head, and it sits in exactly
+/// one in-list at a time.
+#[derive(Debug, Clone, Copy)]
+struct InEdge {
+    /// Local tail, or the virtual root; the node it now belongs to is
+    /// [`BranchingArena::current`] of it.
+    src: usize,
+    /// Local head.
+    dst: usize,
+    weight: f64,
+    /// Next edge of the same in-list, `NONE` at its end.
+    next: usize,
 }
 
 /// Reusable scratch space for [`maximum_branching_components`].
 ///
 /// Holds every buffer the component-wise Chu-Liu/Edmonds driver needs —
-/// per-component edge lists, contraction level records, cycle-detection
-/// state and expansion scratch — so that running the branching over many
-/// components (or many snapshots) performs no per-component allocation
-/// after warm-up. Construct once with [`Default`] and pass `&mut` to each
-/// call; buffers grow to the high-water mark and are then reused.
+/// the arc grouping, the level-0 edges with their in-list links, the
+/// per-node best in-edges, walk states and contraction tree, and the
+/// union-find of super-node membership — so that running the branching
+/// over many components (or many snapshots) performs no per-component
+/// allocation after warm-up. Construct once with [`Default`] and pass
+/// `&mut` to each call; buffers grow to the high-water mark and are then
+/// reused.
 ///
 /// An arena is cheap to create, so per-thread ownership (e.g. a
 /// `thread_local!`) is the intended sharing model; the type is
@@ -103,41 +124,33 @@ pub struct BranchingArena {
     comp_arc_ids: Vec<usize>,
     /// Per-component offsets into `comp_arc_ids` (length `components + 1`).
     comp_arc_start: Vec<usize>,
-    // -- per-component Edmonds scratch -----------------------------------
-    /// Working edge list of the level currently being built.
-    edges: Vec<WorkEdge>,
-    /// Pooled contraction level records.
-    levels: Vec<Level>,
-    /// Incumbent best-in weight per destination bucket.
-    best_weight: Vec<f64>,
-    /// Incumbent best-in root-edge flag per destination bucket.
-    best_root: Vec<bool>,
     /// Write cursors for the driver's arc-grouping counting sort.
     cursor: Vec<usize>,
-    /// Cycle-detection node state: 0 new, 1 on path, 2 done.
+    // -- per-component Edmonds scratch -----------------------------------
+    /// Level-0 edges: the component's arcs in input order, then one
+    /// virtual-root edge per node. An index into it is a level-0 index.
+    edges: Vec<InEdge>,
+    // Per node, indexed by local id, then the virtual root (`len`), then
+    // the super-nodes in creation order, so an enclosing super-node has a
+    // larger id than its members:
+    /// First edge of the node's in-list.
+    in_head: Vec<usize>,
+    /// Best in-edge; `NONE` for the virtual root.
+    best: Vec<usize>,
+    /// The super-node that contracted the node, `NONE` while it is current.
+    outer: Vec<usize>,
+    /// Walk state (`NEW`, `ON_PATH`, `DONE`).
     state: Vec<u8>,
-    /// Current functional-graph walk.
-    path: Vec<usize>,
-    /// Contraction relabeling.
-    label: Vec<usize>,
-    /// Expansion: chosen in-edge per node of the current level.
-    selected: Vec<usize>,
-    /// Expansion: lower-level edge entering each node, if any.
+    /// Expansion: the edge an enclosing super-node's choice enters the
+    /// node by, `NONE` if it keeps its own best in-edge.
     entered: Vec<usize>,
-    /// Expansion: chosen in-edge per node of the level below.
-    lower_selected: Vec<usize>,
-}
-
-impl Level {
-    /// Prepares the record for a level with `node_count` nodes; `edges`
-    /// and `cycle_of` are (re)filled by the caller.
-    fn reset(&mut self, node_count: usize) {
-        self.node_count = node_count;
-        self.best_in.clear();
-        self.best_in.resize(node_count, NONE);
-        self.cycle_of.clear();
-        self.cycle_of.resize(node_count, NONE);
-    }
+    /// Super-node membership: original nodes and super-nodes are
+    /// elements, and a contracted node is merged into its super-node.
+    sets: UnionFind,
+    /// Union-find representative → the current (outermost) node of its set.
+    rep_node: Vec<usize>,
+    /// The current walk.
+    path: Vec<usize>,
 }
 
 /// Computes the same maximum-weight spanning branching as
@@ -151,11 +164,11 @@ impl Level {
 /// arc weakly connects its endpoints.
 ///
 /// The result is **bit-identical** to the single-run reference: the same
-/// arcs are selected (the deterministic tie-break sees each destination's
-/// candidate arcs in the same relative order) and `total_weight` is
-/// accumulated in the same ascending-node order. Singleton components and
-/// components without usable arcs short-circuit to roots without touching
-/// the Edmonds machinery.
+/// arcs are selected (the deterministic tie-break is a strict total order
+/// on each component's level-0 edges, which keep the input order) and
+/// `total_weight` is accumulated in the same ascending-node order.
+/// Singleton components and components without usable arcs short-circuit
+/// to roots without touching the Edmonds machinery.
 ///
 /// # Panics
 ///
@@ -294,7 +307,7 @@ pub fn maximum_branching_components(
 }
 
 impl BranchingArena {
-    /// Runs arena-backed Chu-Liu/Edmonds on one component and writes the
+    /// Runs the lazy Chu-Liu/Edmonds on one component and writes the
     /// selected arcs into the global `parent`/`parent_arc` arrays.
     ///
     /// `local_of` must already map this component's nodes to `0..len`;
@@ -309,236 +322,176 @@ impl BranchingArena {
         parent: &mut [Option<usize>],
         parent_arc: &mut [Option<usize>],
     ) {
-        let comp_len = comp.len();
-        let root = comp_len;
+        let len = comp.len();
+        let root = len;
 
-        // Level-0 working edges: the component's arcs in input order
-        // (carrying their *global* arc index as `parent_edge`), then the
-        // virtual-root edges — the same real-arcs-then-root-edges layout
-        // as the reference, so per-destination candidate order matches.
+        // 1. In-lists and best in-edges, from the level-0 edges: the
+        // component's arcs in input order, then the virtual-root edges.
         self.edges.clear();
+        self.in_head.clear();
+        self.in_head.resize(len + 1, NONE);
+        self.best.clear();
+        self.best.resize(len + 1, NONE);
         for k in arc_lo..arc_hi {
-            let ga = self.comp_arc_ids[k];
-            let a = &arcs[ga];
-            self.edges.push(WorkEdge {
-                src: self.local_of[a.src],
-                dst: self.local_of[a.dst],
-                weight: a.weight,
-                parent_edge: ga,
-                root_edge: false,
-            });
+            let a = &arcs[self.comp_arc_ids[k]];
+            self.add_edge(self.local_of[a.src], self.local_of[a.dst], a.weight);
         }
-        for v in 0..comp_len {
-            self.edges.push(WorkEdge {
-                src: root,
-                dst: v,
-                weight: 0.0,
-                parent_edge: ROOT_ARC,
-                root_edge: true,
-            });
+        for v in 0..len {
+            self.add_edge(root, v, 0.0);
         }
 
-        let mut node_count = comp_len + 1;
-        let mut root_label = root;
-        let mut level_count = 0usize;
-
-        loop {
-            if self.levels.len() == level_count {
-                self.levels.push(Level::default());
-            }
-            // Move the record out so its buffers can be filled while the
-            // arena's other fields stay borrowable.
-            let mut level = std::mem::take(&mut self.levels[level_count]);
-            level.reset(node_count);
-            level.edges.clear();
-            std::mem::swap(&mut level.edges, &mut self.edges);
-
-            // 1. Best incoming edge per node, via destination buckets:
-            // `best_weight`/`best_root` shadow the incumbent edge's
-            // comparison key per destination, so each candidate costs one
-            // sequential edge read plus same-index bucket accesses —
-            // never a dependent re-read of the incumbent edge record the
-            // way the reference's `edges[cur]` comparison does.
-            self.best_weight.clear();
-            self.best_weight.resize(node_count, f64::NEG_INFINITY);
-            self.best_root.clear();
-            self.best_root.resize(node_count, false);
-            for (idx, e) in level.edges.iter().enumerate() {
-                if e.dst == root_label {
-                    continue;
-                }
-                let better = level.best_in[e.dst] == NONE
-                    || e.weight > self.best_weight[e.dst]
-                    || (e.weight == self.best_weight[e.dst]
-                        && self.best_root[e.dst]
-                        && !e.root_edge);
-                if better {
-                    level.best_in[e.dst] = idx;
-                    self.best_weight[e.dst] = e.weight;
-                    self.best_root[e.dst] = e.root_edge;
-                }
-            }
-
-            // 2. Cycle detection in the parent functional graph (identical
-            // to the reference walk; `cycle_of` ids follow discovery
-            // order, which only feeds relabeling, not selection).
-            self.state.clear();
-            self.state.resize(node_count, 0);
-            let mut cycle_count = 0usize;
-            for start in 0..node_count {
-                if self.state[start] != 0 {
-                    continue;
-                }
-                self.path.clear();
-                let mut v = start;
-                loop {
-                    if self.state[v] == 1 {
-                        // Found a cycle: the suffix of `path` starting at v.
-                        let pos = self
-                            .path
-                            .iter()
-                            .position(|&x| x == v)
-                            .expect("v is on path");
-                        for &x in &self.path[pos..] {
-                            level.cycle_of[x] = cycle_count;
-                        }
-                        cycle_count += 1;
-                        break;
-                    }
-                    if self.state[v] == 2 {
-                        break;
-                    }
-                    self.state[v] = 1;
-                    self.path.push(v);
-                    match level.best_in[v] {
-                        NONE => break,
-                        e => v = level.edges[e].src,
-                    }
-                }
-                for &x in &self.path {
-                    self.state[x] = 2;
-                }
-            }
-
-            if cycle_count == 0 {
-                self.levels[level_count] = level;
-                level_count += 1;
-                break;
-            }
-
-            // 3. Contract every cycle into a fresh super-node: non-cycle
-            // nodes keep their relative order, cycles append after.
-            self.label.clear();
-            self.label.resize(node_count, NONE);
-            let mut next_id = 0usize;
-            for (v, slot) in self.label.iter_mut().enumerate() {
-                if level.cycle_of[v] == NONE {
-                    *slot = next_id;
-                    next_id += 1;
-                }
-            }
-            let cycle_base = next_id;
-            for v in 0..node_count {
-                if level.cycle_of[v] != NONE {
-                    self.label[v] = cycle_base + level.cycle_of[v];
-                }
-            }
-            let new_count = cycle_base + cycle_count;
-            let new_root = self.label[root_label];
-
-            // `self.edges` is the (empty) buffer swapped out above; it
-            // becomes the next level's working edge list.
-            for (idx, e) in level.edges.iter().enumerate() {
-                let (lu, lv) = (self.label[e.src], self.label[e.dst]);
-                if lu == lv {
-                    continue;
-                }
-                let weight = if level.cycle_of[e.dst] != NONE {
-                    let chosen = level.best_in[e.dst];
-                    debug_assert_ne!(chosen, NONE, "cycle node has a parent");
-                    e.weight - level.edges[chosen].weight
-                } else {
-                    e.weight
-                };
-                self.edges.push(WorkEdge {
-                    src: lu,
-                    dst: lv,
-                    weight,
-                    parent_edge: idx,
-                    root_edge: e.root_edge,
-                });
-            }
-
-            self.levels[level_count] = level;
-            level_count += 1;
-            node_count = new_count;
-            root_label = new_root;
+        // 2. Walk best in-edges from each node; contract each cycle as
+        // soon as the walk closes it, and go on from its super-node.
+        self.outer.clear();
+        self.outer.resize(len + 1, NONE);
+        self.state.clear();
+        self.state.resize(len + 1, NEW);
+        self.state[root] = DONE;
+        self.sets.clear();
+        self.rep_node.clear();
+        for v in 0..=len {
+            self.sets.push();
+            self.rep_node.push(v);
         }
-
-        // 4. Expand level by level; `selected` holds, per node of the
-        // current level, the chosen in-edge index at that level.
-        let top = level_count - 1;
-        self.selected.clear();
-        self.selected.extend_from_slice(&self.levels[top].best_in);
-        for k in (0..top).rev() {
-            {
-                let (low, high) = self.levels.split_at(k + 1);
-                let lower = &low[k];
-                let upper = &high[0];
-                self.entered.clear();
-                self.entered.resize(lower.node_count, NONE);
-                for &chosen in &self.selected {
-                    if chosen == NONE {
-                        continue;
-                    }
-                    let lower_edge = upper.edges[chosen].parent_edge;
-                    self.entered[lower.edges[lower_edge].dst] = lower_edge;
-                }
-                self.lower_selected.clear();
-                self.lower_selected.resize(lower.node_count, NONE);
-                for v in 0..lower.node_count {
-                    self.lower_selected[v] = if level_entered_or_plain(lower, &self.entered, v) {
-                        self.entered[v]
-                    } else {
-                        // Cycle members not entered from outside keep
-                        // their in-cycle parent.
-                        lower.best_in[v]
-                    };
-                }
-            }
-            std::mem::swap(&mut self.selected, &mut self.lower_selected);
-        }
-
-        // 5. Read off level 0 into the global arrays; `parent_edge` of a
-        // level-0 edge is the *global* arc index.
-        let base = &self.levels[0];
-        for (v, &e) in self.selected.iter().enumerate().take(comp_len) {
-            if e == NONE {
+        for start in 0..len {
+            if self.state[start] != NEW {
                 continue;
             }
-            let edge = &base.edges[e];
-            debug_assert_eq!(edge.dst, v);
-            if edge.parent_edge != ROOT_ARC {
-                let node = comp[v].index();
-                parent[node] = Some(arcs[edge.parent_edge].src);
-                parent_arc[node] = Some(edge.parent_edge);
+            self.path.clear();
+            let mut v = start;
+            loop {
+                match self.state[v] {
+                    NEW => {
+                        self.state[v] = ON_PATH;
+                        self.path.push(v);
+                        v = self.current(self.edges[self.best[v]].src);
+                    }
+                    ON_PATH => v = self.contract(v),
+                    _ => break,
+                }
+            }
+            for &x in &self.path {
+                self.state[x] = DONE;
+            }
+        }
+
+        // 3. Expand, outermost super-node first. One that no enclosing
+        // choice entered takes its own best in-edge, which enters every
+        // node from the edge's head up to it; every other node keeps its
+        // own best in-edge.
+        let nodes = self.best.len();
+        self.entered.clear();
+        self.entered.resize(nodes, NONE);
+        for s in (len + 1..nodes).rev() {
+            if self.entered[s] != NONE {
+                continue;
+            }
+            let e = self.best[s];
+            let mut x = self.edges[e].dst;
+            while x != s {
+                self.entered[x] = e;
+                x = self.outer[x];
+            }
+        }
+
+        // 4. Read off: an edge below the arc count is the component's
+        // `e`-th arc; the rest are virtual-root edges, leaving a root.
+        for (v, node) in comp.iter().enumerate() {
+            let e = match self.entered[v] {
+                NONE => self.best[v],
+                e => e,
+            };
+            if e < arc_hi - arc_lo {
+                let ga = self.comp_arc_ids[arc_lo + e];
+                parent[node.index()] = Some(arcs[ga].src);
+                parent_arc[node.index()] = Some(ga);
             }
         }
     }
-}
 
-/// `true` if node `v` of `lower` takes whatever `entered` says (plain
-/// nodes always; cycle nodes only when an external edge entered at `v`).
-#[inline]
-fn level_entered_or_plain(lower: &Level, entered: &[usize], v: usize) -> bool {
-    lower.cycle_of[v] == NONE || entered[v] != NONE
+    /// Appends a level-0 edge to its head's in-list and keeps the head's
+    /// best in-edge.
+    fn add_edge(&mut self, src: usize, dst: usize, weight: f64) {
+        let e = self.edges.len();
+        self.edges.push(InEdge {
+            src,
+            dst,
+            weight,
+            next: self.in_head[dst],
+        });
+        self.in_head[dst] = e;
+        self.offer(dst, e);
+    }
+
+    /// Makes `e` the best in-edge of `node` if it beats the incumbent:
+    /// heavier first, then the lower level-0 index.
+    #[inline]
+    fn offer(&mut self, node: usize, e: usize) {
+        let b = self.best[node];
+        let better = b == NONE || {
+            let (w, bw) = (self.edges[e].weight, self.edges[b].weight);
+            w > bw || (w == bw && e < b)
+        };
+        if better {
+            self.best[node] = e;
+        }
+    }
+
+    /// The current (outermost) node that contains node `x`.
+    #[inline]
+    fn current(&mut self, x: usize) -> usize {
+        self.rep_node[self.sets.find(x)]
+    }
+
+    /// Contracts the cycle the walk closed at `v` — the suffix of `path`
+    /// from `v` — into a new super-node, and returns it.
+    fn contract(&mut self, v: usize) -> usize {
+        let pos = self
+            .path
+            .iter()
+            .rposition(|&x| x == v)
+            .expect("v is on the walk");
+        let s = self.sets.push();
+        debug_assert_eq!(s, self.best.len(), "one element per node");
+        self.rep_node.push(s);
+        self.in_head.push(NONE);
+        self.best.push(NONE);
+        self.outer.push(NONE);
+        self.state.push(NEW);
+        for &c in &self.path[pos..] {
+            self.sets.union(c, s);
+            self.outer[c] = s;
+        }
+        let rep = self.sets.find(s);
+        self.rep_node[rep] = s;
+
+        // Each member's in-edges from outside the cycle lose the weight of
+        // the member's best in-edge and move to the super-node; edges
+        // from inside the cycle are dropped.
+        for i in pos..self.path.len() {
+            let c = self.path[i];
+            let base = self.edges[self.best[c]].weight;
+            let mut e = self.in_head[c];
+            while e != NONE {
+                let next = self.edges[e].next;
+                if self.current(self.edges[e].src) != s {
+                    self.edges[e].weight -= base;
+                    self.edges[e].next = self.in_head[s];
+                    self.in_head[s] = e;
+                    self.offer(s, e);
+                }
+                e = next;
+            }
+        }
+        self.path.truncate(pos);
+        s
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::branching::maximum_branching;
-    use crate::components::UnionFind;
 
     fn arcs(list: &[(usize, usize, f64)]) -> Vec<WeightedArc> {
         list.iter()

@@ -19,7 +19,7 @@ use isomit_graph::{NodeId, SignedDigraph};
 /// assert!(!uf.connected(1, 2));
 /// assert_eq!(uf.component_count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
@@ -111,6 +111,26 @@ impl UnionFind {
         self.rank.push(0);
         self.components += 1;
         id
+    }
+
+    /// Removes every element but keeps the allocation, so a caller that
+    /// solves many small problems can refill one structure with
+    /// [`push`](UnionFind::push) instead of allocating a new one each time.
+    ///
+    /// ```
+    /// use isomit_forest::UnionFind;
+    ///
+    /// let mut uf = UnionFind::new(3);
+    /// uf.union(0, 1);
+    /// uf.clear();
+    /// assert!(uf.is_empty());
+    /// assert_eq!(uf.push(), 0);
+    /// assert_eq!(uf.component_count(), 1);
+    /// ```
+    pub fn clear(&mut self) {
+        self.parent.clear();
+        self.rank.clear();
+        self.components = 0;
     }
 
     /// `true` if `a` and `b` are in the same set.

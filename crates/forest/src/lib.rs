@@ -7,15 +7,17 @@
 //!   connected components detection* (BFS over the undirected view), plus
 //!   a reusable [`UnionFind`].
 //! * [`maximum_branching`] — maximum-weight spanning branching of a
-//!   directed weighted graph via the Chu-Liu/Edmonds algorithm with cycle
-//!   contraction, covering the paper's Algorithms 2 (MWSG), 3 (Contract
-//!   Circles) and 4 (Infected Cascade Trees Extraction). The branching is
-//!   the maximum-likelihood cascade forest: maximizing `Σ log w` equals
-//!   maximizing `Π w`.
+//!   directed weighted graph via the Chu-Liu/Edmonds algorithm, contracting
+//!   every cycle of a level at once, covering the paper's Algorithms 2
+//!   (MWSG), 3 (Contract Circles) and 4 (Infected Cascade Trees
+//!   Extraction). The branching is the maximum-likelihood cascade forest:
+//!   maximizing `Σ log w` equals maximizing `Π w`. It is the oracle of:
 //! * [`maximum_branching_components`] — the same branching, bit for bit,
 //!   computed component by component against a reusable
-//!   [`BranchingArena`]; the allocation-lean fast path used by the RID
-//!   engine's forest extraction on large snapshots.
+//!   [`BranchingArena`] by a lazy Chu-Liu/Edmonds that contracts each
+//!   cycle as soon as a walk of best in-edges closes it and re-weights
+//!   only that cycle's in-edges; the run the RID engine's forest
+//!   extraction serves.
 //! * [`BinaryTree`] / [`binarize`] — the §III-E3 transformation of an
 //!   arbitrary cascade tree into a binary tree by inserting dummy nodes
 //!   (paper's Figure 3), enabling the k-ISOMIT-BT dynamic program.

@@ -1,11 +1,15 @@
 //! Property-based tests: Edmonds branching optimality versus brute force,
-//! binarization invariants on random trees, component partitioning.
+//! the served component-wise Edmonds versus that oracle, binarization
+//! invariants on random trees, component partitioning.
 
 use isomit_forest::{
-    binarize, maximum_branching, weakly_connected_components, UnionFind, WeightedArc,
+    binarize, maximum_branching, maximum_branching_components, weakly_connected_components,
+    BranchingArena, UnionFind, WeightedArc,
 };
 use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Brute-force maximum branching weight by enumerating every parent
 /// assignment and keeping acyclic ones.
@@ -76,6 +80,94 @@ fn arb_arcs() -> impl Strategy<Value = (usize, Vec<WeightedArc>)> {
     })
 }
 
+/// Arc weights of [`tie_heavy_digraph`]: few distinct values, 0.0 (the
+/// virtual root's weight) among them, so equal best in-arcs are common
+/// and the tie-break decides; non-dyadic values make the re-weighting
+/// subtractions round.
+const TIE_WEIGHTS: [f64; 7] = [0.0, 0.1, 0.125, 0.3, 0.5, 0.7, 1.0];
+
+/// A random digraph on `0..n` whose nodes are split into up to `blocks`
+/// contiguous blocks, with arcs only inside a block: random arcs,
+/// planted cliques, interlocking cycles on a few nodes each (so
+/// contractions nest) and parallel copies of earlier arcs, in shuffled
+/// input order. Returns the arcs and a partition of `0..n` that no arc
+/// crosses: the weak components, or the coarser blocks.
+fn tie_heavy_digraph(n: usize, blocks: usize, seed: u64) -> (Vec<WeightedArc>, Vec<Vec<NodeId>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cuts: Vec<usize> = (1..blocks).map(|_| rng.gen_range(0..=n)).collect();
+    cuts.extend([0, n]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+    let arcful: Vec<(usize, usize)> = ranges
+        .iter()
+        .copied()
+        .filter(|(lo, hi)| hi - lo >= 2)
+        .collect();
+    let mut arcs = Vec::new();
+    let push = |arcs: &mut Vec<WeightedArc>, src: usize, dst: usize, weight: f64| {
+        if src != dst {
+            arcs.push(WeightedArc { src, dst, weight });
+        }
+    };
+    if !arcful.is_empty() {
+        for _ in 0..rng.gen_range(0..2 * n) {
+            let (lo, hi) = arcful[rng.gen_range(0..arcful.len())];
+            let w = TIE_WEIGHTS[rng.gen_range(0..TIE_WEIGHTS.len())];
+            push(&mut arcs, rng.gen_range(lo..hi), rng.gen_range(lo..hi), w);
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            let (lo, hi) = arcful[rng.gen_range(0..arcful.len())];
+            let size = rng.gen_range(2..=5usize).min(hi - lo);
+            let start = rng.gen_range(lo..=hi - size);
+            for s in start..start + size {
+                for d in start..start + size {
+                    let w = TIE_WEIGHTS[rng.gen_range(0..TIE_WEIGHTS.len())];
+                    push(&mut arcs, s, d, w);
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..6usize) {
+            let (lo, hi) = arcful[rng.gen_range(0..arcful.len())];
+            let window = rng.gen_range(lo..hi);
+            let span = (hi - window).min(6);
+            let len: usize = rng.gen_range(2..=5);
+            let nodes: Vec<usize> = (0..len).map(|_| window + rng.gen_range(0..span)).collect();
+            for i in 0..len {
+                // Heavy weights, so the cycle wins its best in-arcs.
+                let w = TIE_WEIGHTS[rng.gen_range(3..TIE_WEIGHTS.len())];
+                push(&mut arcs, nodes[i], nodes[(i + 1) % len], w);
+            }
+        }
+        for _ in 0..rng.gen_range(0..=arcs.len() / 4) {
+            let a = arcs[rng.gen_range(0..arcs.len())];
+            let w = TIE_WEIGHTS[rng.gen_range(0..TIE_WEIGHTS.len())];
+            push(&mut arcs, a.src, a.dst, w);
+        }
+        for i in (1..arcs.len()).rev() {
+            arcs.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    let components = if rng.gen_bool(0.3) {
+        ranges
+            .iter()
+            .map(|&(lo, hi)| (lo..hi).map(NodeId::from_index).collect())
+            .collect()
+    } else {
+        let mut uf = UnionFind::new(n);
+        for a in &arcs {
+            uf.union(a.src, a.dst);
+        }
+        let mut by_root: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for v in 0..n {
+            by_root[uf.find(v)].push(NodeId::from_index(v));
+        }
+        by_root.retain(|c| !c.is_empty());
+        by_root
+    };
+    (arcs, components)
+}
+
 /// Random tree as a children-list structure plus its root.
 fn arb_tree() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     (1usize..40).prop_flat_map(|n| {
@@ -135,6 +227,32 @@ proptest! {
             .map(|a| arcs[a].weight)
             .sum();
         prop_assert!((sum - b.total_weight()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn component_branching_is_bit_identical_to_the_oracle(
+        graphs in proptest::collection::vec((1usize..=40, 1usize..5, any::<u64>()), 1..4),
+    ) {
+        let mut inputs: Vec<_> = graphs
+            .iter()
+            .map(|&(n, blocks, seed)| (n, tie_heavy_digraph(n, blocks, seed)))
+            .collect();
+        inputs.sort_by_key(|(n, _)| *n);
+        // One arena for every call: it grows through the inputs, then
+        // shrinks back through them.
+        let mut arena = BranchingArena::default();
+        for (n, (arcs, components)) in inputs.iter().chain(inputs.iter().rev()) {
+            let oracle = maximum_branching(*n, arcs);
+            let served = maximum_branching_components(*n, arcs, components, &mut arena);
+            for v in 0..*n {
+                prop_assert_eq!(served.parent(v), oracle.parent(v), "parent of {}", v);
+                prop_assert_eq!(served.parent_arc(v), oracle.parent_arc(v), "arc of {}", v);
+            }
+            prop_assert_eq!(
+                served.total_weight().to_bits(),
+                oracle.total_weight().to_bits()
+            );
+        }
     }
 
     #[test]

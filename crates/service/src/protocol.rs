@@ -55,6 +55,10 @@ pub enum ErrorKind {
     /// A by-fingerprint `rid` request named a snapshot the serving
     /// shard has no cached answer for; resend the full snapshot.
     UnknownSnapshot,
+    /// A request line grew past
+    /// [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES) without a
+    /// newline; the daemon answers once and closes the connection.
+    RequestTooLarge,
     /// Unexpected server-side failure.
     Internal,
 }
@@ -71,6 +75,7 @@ impl ErrorKind {
             ErrorKind::UnknownDetector => "unknown_detector",
             ErrorKind::InvalidDelta => "invalid_delta",
             ErrorKind::UnknownSnapshot => "unknown_snapshot",
+            ErrorKind::RequestTooLarge => "request_too_large",
             ErrorKind::Internal => "internal",
         }
     }
@@ -90,6 +95,7 @@ impl ErrorKind {
             "unknown_detector" => Ok(ErrorKind::UnknownDetector),
             "invalid_delta" => Ok(ErrorKind::InvalidDelta),
             "unknown_snapshot" => Ok(ErrorKind::UnknownSnapshot),
+            "request_too_large" => Ok(ErrorKind::RequestTooLarge),
             "internal" => Ok(ErrorKind::Internal),
             other => Err(JsonError::new(format!("unknown error kind `{other}`"))),
         }
@@ -822,6 +828,7 @@ mod tests {
             ErrorKind::UnknownDetector,
             ErrorKind::InvalidDelta,
             ErrorKind::UnknownSnapshot,
+            ErrorKind::RequestTooLarge,
             ErrorKind::Internal,
         ] {
             assert_eq!(ErrorKind::from_label(kind.as_label()).unwrap(), kind);

@@ -29,6 +29,11 @@
 //!   wait for a later sweep. An outbox holding [`OUTBOX_CAP`] bytes
 //!   stops the reading of its connection, and one whose backlog has not
 //!   moved for the request timeout is closed.
+//! * **reads** are bounded too: a connection is read only when every
+//!   line it sent has been served, and an unfinished line past
+//!   [`MAX_LINE_BYTES`] is answered once with `request_too_large` and
+//!   its connection closed, so a client that never sends a newline
+//!   cannot grow the daemon.
 //! * **shards** are independent serving units: each owns a
 //!   [`RidEngine`] sibling (shared network, private artifact cache,
 //!   private registry), a bounded admission queue, a serialized-result
@@ -125,6 +130,13 @@ pub const MAX_LINES_PER_SWEEP: usize = 128;
 /// pass it by one sweep's inline replies ([`MAX_LINES_PER_SWEEP`]) plus
 /// the replies of that connection's jobs already queued.
 pub const OUTBOX_CAP: usize = 1 << 20;
+
+/// Bytes an unfinished request line may reach before the daemon answers
+/// `request_too_large` and closes its connection. It sits far above the
+/// snapshots clients send (the benchmark's cold `rid` lines are about
+/// 170 KB) and bounds what one connection's read buffer holds: one
+/// line plus one read.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Backoff window of an idle io sweep.
 const MIN_BACKOFF: Duration = Duration::from_micros(50);
@@ -353,6 +365,8 @@ struct Shared {
     imbalance_pct: Gauge,
     /// Largest backlog any outbox held when a flush began.
     outbox_bytes_max: Gauge,
+    /// Largest read buffer any connection held after a read.
+    buffer_bytes_max: Gauge,
 }
 
 impl std::fmt::Debug for Shared {
@@ -452,6 +466,7 @@ impl Server {
             watch_shed: primary.counter(names::WATCH_SESSIONS_SHED),
             imbalance_pct: primary.gauge(names::SERVICE_SHARD_IMBALANCE_PCT),
             outbox_bytes_max: primary.gauge(names::SERVICE_OUTBOX_BYTES_MAX),
+            buffer_bytes_max: primary.gauge(names::CONN_BUFFER_BYTES_MAX),
         });
 
         let worker_threads = shared
@@ -734,24 +749,32 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
     }
 }
 
-/// Reads once and serves up to [`MAX_LINES_PER_SWEEP`] complete lines;
-/// returns whether it read or served anything.
+/// Reads once, unless earlier reads still hold unserved lines, and
+/// serves up to [`MAX_LINES_PER_SWEEP`] complete lines; refuses an
+/// unfinished line past [`MAX_LINE_BYTES`]. Returns whether it read or
+/// served anything.
 fn serve_lines(state: &mut ConnState, shared: &Arc<Shared>) -> bool {
     let mut chunk = [0u8; 16 * 1024];
     let mut read_any = false;
     let mut eof = false;
-    match (&state.conn.stream).read(&mut chunk) {
-        Ok(0) => eof = true,
-        Ok(n) => {
-            state
-                .lines
-                .bytes
-                .extend_from_slice(chunk.get(..n).unwrap_or_default());
-            read_any = true;
+    // Every byte already read was searched for a newline: no complete
+    // line waits, so a read cannot pile up lines the sweeps are behind on.
+    if state.lines.searched == state.lines.bytes.len() {
+        match (&state.conn.stream).read(&mut chunk) {
+            Ok(0) => eof = true,
+            Ok(n) => {
+                state
+                    .lines
+                    .bytes
+                    .extend_from_slice(chunk.get(..n).unwrap_or_default());
+                read_any = true;
+                let held = i64::try_from(state.lines.bytes.len()).unwrap_or(i64::MAX);
+                shared.buffer_bytes_max.set_max(held);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => eof = true,
         }
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-        Err(_) => eof = true,
     }
 
     let mut cursor = 0usize;
@@ -779,6 +802,22 @@ fn serve_lines(state: &mut ConnState, shared: &Arc<Shared>) -> bool {
         handle_line(line, received, &state.conn, &mut state.watch, shared);
     }
     state.lines.consume(cursor);
+
+    // What is left after a search that found no newline is one unfinished
+    // line; past the cap it is refused, and the connection closes once
+    // the reply is written.
+    if state.open
+        && state.lines.searched == state.lines.bytes.len()
+        && state.lines.bytes.len() > MAX_LINE_BYTES
+    {
+        let error = WireError::new(
+            ErrorKind::RequestTooLarge,
+            format!("request line passed {MAX_LINE_BYTES} bytes without a newline"),
+        );
+        state.conn.push(&error_line(None, &error));
+        state.lines = LineBuffer::default();
+        state.open = false;
+    }
 
     if eof && processed == 0 {
         // The peer is gone and no further line can complete (anything

@@ -1538,3 +1538,93 @@ fn a_pipelined_rid_and_health_lines_get_every_reply_in_completion_order() {
     );
     daemon.client().shutdown().expect("shutdown");
 }
+
+#[test]
+fn a_line_past_the_size_cap_is_refused_and_closed_while_others_are_served() {
+    use isomit_service::server::MAX_LINE_BYTES;
+    let daemon = Daemon::spawn(&[]);
+    let mut hostile = daemon.raw();
+    let flooder = std::thread::spawn(move || {
+        // Past the cap the daemon stops reading, answers and closes, so
+        // the last writes may block until the close and then fail.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut written = 0;
+        while written <= MAX_LINE_BYTES + chunk.len() {
+            match hostile.write(&chunk) {
+                Ok(n) => written += n,
+                Err(_) => break,
+            }
+        }
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        let mut replies = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match hostile.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => replies.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == IoErrorKind::ConnectionReset => break,
+                Err(e) => panic!("no reply and no close after the flood: {e}"),
+            }
+        }
+        (written, String::from_utf8(replies).expect("utf-8 replies"))
+    });
+
+    // Another connection is answered while the flood runs and after it.
+    let mut polite = daemon.client();
+    let mut trips = 0;
+    while !flooder.is_finished() || trips < 5 {
+        polite.health().expect("health beside the flood");
+        trips += 1;
+    }
+    let (written, replies) = flooder.join().expect("flooder");
+    assert!(written > MAX_LINE_BYTES, "wrote only {written} bytes");
+    let lines: Vec<&str> = replies.lines().collect();
+    assert_eq!(lines.len(), 1, "one reply, then the close: {replies:?}");
+    let response = isomit_service::protocol::parse_response(lines[0]).expect("envelope");
+    assert_eq!(response.id, None);
+    let error = response.outcome.expect_err("refused");
+    assert_eq!(error.kind, ErrorKind::RequestTooLarge, "{error}");
+
+    // The buffer stopped at the cap plus one read.
+    let telemetry = polite.telemetry().expect("telemetry");
+    let peak = telemetry
+        .gauge(names::CONN_BUFFER_BYTES_MAX)
+        .expect("buffer gauge registered");
+    let peak = usize::try_from(peak).expect("a byte count");
+    assert!(
+        (MAX_LINE_BYTES + 1..=MAX_LINE_BYTES + (1 << 20)).contains(&peak),
+        "largest read buffer {peak} B, cap {MAX_LINE_BYTES} B"
+    );
+    polite.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_client_pipelining_faster_than_it_is_served_waits_in_tcp() {
+    // 40,000 `health` lines (about 1 MB) in one write, served at most
+    // 128 per sweep: the daemon reads again only once it has served the
+    // lines it holds, so the rest waits in TCP, not in its read buffer.
+    const LINES: usize = 40_000;
+    let daemon = Daemon::spawn(&[]);
+    let raw = daemon.raw();
+    let mut sender = raw.try_clone().expect("clone stream");
+    let writer = std::thread::spawn(move || sender.write_all(&HEALTH_LINE.repeat(LINES)));
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    for _ in 0..LINES {
+        reply.clear();
+        reader.read_line(&mut reply).expect("read reply");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    writer.join().expect("writer").expect("write batch");
+    let mut client = daemon.client();
+    let peak = client
+        .telemetry()
+        .expect("telemetry")
+        .gauge(names::CONN_BUFFER_BYTES_MAX)
+        .expect("buffer gauge registered");
+    // One read of unserved lines, not the whole megabyte.
+    assert!(peak <= 64 * 1024, "read buffer reached {peak} B");
+    client.shutdown().expect("shutdown");
+}

@@ -127,6 +127,11 @@ pub mod names {
     /// began, in bytes (gauge; a high-water mark since the daemon
     /// started).
     pub const SERVICE_OUTBOX_BYTES_MAX: &str = "service.outbox_bytes_max";
+    /// Most bytes any connection's read buffer held after a read, in
+    /// bytes (gauge; a high-water mark since the daemon started). The
+    /// buffer holds unserved lines and at most one unfinished line, which
+    /// the daemon refuses past its line-size cap.
+    pub const CONN_BUFFER_BYTES_MAX: &str = "conn.buffer_bytes_max";
 
     /// `shard.<i>.queue_depth` — per-shard admission-queue depth
     /// (gauge alias of that shard's `service.queue_depth`).
