@@ -3,9 +3,12 @@
 //! delta tail, answering **every** delta both incrementally and by cold
 //! recompute of the final snapshot prefix. Writes
 //! `BENCH_incremental.json` with the amortized per-delta latencies,
-//! their ratio (`speedup_amortized`), and a `bit_identical` flag that
-//! is 1.0 only if every incremental answer matched its cold reference
-//! byte-for-byte — the artifact `xtask bench-check` gates on.
+//! their ratio (`speedup_amortized`), a `bit_identical` flag that is 1.0
+//! only if every incremental answer matched its cold reference
+//! byte-for-byte, and two exact counts of how the tail was answered:
+//! `stream_fallbacks` (full recomputes after the warm-up answer) and
+//! `stream_extractions` (forest extractions the tail's incremental
+//! answers ran) — the artifact `xtask bench-check` gates on.
 //!
 //! Options:
 //!
@@ -15,11 +18,12 @@
 //! * `--deltas N` — sparse stream length after seeding (default 50):
 //!   fresh-node infections and occasional two-node fresh components,
 //!   the workload where delta-driven maintenance should shine;
-//! * `--seed N` — RNG seed (the run is deterministic in it);
-//! * `--threads N` — rayon worker count for both paths.
+//! * `--seed N` — RNG seed (the run is deterministic in it).
 
 use isomit_bench::report::{BenchReport, TimingStats};
-use isomit_core::{IncrementalRid, InitiatorDetector, Rid, RidConfig, RidDelta};
+use isomit_core::{
+    extraction_run_count, IncrementalRid, InitiatorDetector, Rid, RidConfig, RidDelta,
+};
 use isomit_graph::{NodeId, NodeState, Sign};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +34,6 @@ struct Options {
     edges: usize,
     deltas: usize,
     seed: u64,
-    threads: Option<usize>,
 }
 
 impl Options {
@@ -40,7 +43,6 @@ impl Options {
             edges: 50_000,
             deltas: 50,
             seed: 7,
-            threads: None,
         };
         args.next(); // program name
         while let Some(flag) = args.next() {
@@ -53,27 +55,12 @@ impl Options {
                 "--edges" => opts.edges = value("--edges").parse().expect("--edges: usize"),
                 "--deltas" => opts.deltas = value("--deltas").parse().expect("--deltas: usize"),
                 "--seed" => opts.seed = value("--seed").parse().expect("--seed: u64"),
-                "--threads" => {
-                    opts.threads = Some(value("--threads").parse().expect("--threads: usize"))
-                }
                 other => panic!("unknown flag `{other}`"),
             }
         }
         assert!(opts.nodes >= 2, "--nodes must be at least 2");
         assert!(opts.deltas > 0, "--deltas must be positive");
-        assert!(opts.threads != Some(0), "--threads must be positive");
         opts
-    }
-
-    fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.threads {
-            Some(n) => rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .expect("build rayon pool")
-                .install(f),
-            None => f(),
-        }
     }
 }
 
@@ -153,17 +140,13 @@ fn sparse_delta(step: usize, next_node: &mut usize, rng: &mut StdRng) -> Vec<Rid
 
 fn main() {
     let opts = Options::parse(std::env::args());
-    opts.install(|| run(&opts));
-}
-
-fn run(opts: &Options) {
     let config = RidConfig::default();
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut session = IncrementalRid::new(config).expect("valid default config");
     let rid = Rid::from_config(config).expect("valid default config");
 
     let t0 = Instant::now();
-    let seed_deltas = seed_session(&mut session, opts, &mut rng);
+    let seed_deltas = seed_session(&mut session, &opts, &mut rng);
     let _ = session.answer(); // warm the per-component solutions
     let seed_ns = t0.elapsed().as_nanos() as f64;
     println!(
@@ -178,16 +161,23 @@ fn run(opts: &Options) {
     let mut cold_ns = Vec::with_capacity(opts.deltas);
     let mut bit_identical = true;
     let mut dirty_total = 0u64;
+    let mut stream_fallbacks = 0u64;
+    let mut stream_extractions = 0u64;
     let mut next_node = session.node_count();
     for step in 0..opts.deltas {
         for delta in sparse_delta(step, &mut next_node, &mut rng) {
             session.apply(&delta).expect("sparse deltas are valid");
         }
 
+        // Extractions are counted around this call alone: the cold
+        // `rid.detect` below extracts too.
+        let extractions_before = extraction_run_count();
         let t0 = Instant::now();
         let (incremental, outcome) = session.answer_detailed();
         incremental_ns.push(t0.elapsed().as_nanos() as f64);
+        stream_extractions += extraction_run_count() - extractions_before;
         dirty_total += outcome.dirty_components as u64;
+        stream_fallbacks += u64::from(outcome.full_recompute);
 
         // Cold baseline: a from-scratch detector run over the session's
         // current snapshot (materialized outside the timed region, in
@@ -211,13 +201,15 @@ fn run(opts: &Options) {
     let speedup = cold_mean / incr_mean;
     println!(
         "stream: {} deltas, amortized incremental {:.3}ms vs cold {:.3}ms -> {:.1}x, \
-         bit_identical={}, fallbacks={}",
+         bit_identical={}, fallbacks={}, extractions={} for {} dirty components",
         opts.deltas,
         incr_mean / 1e6,
         cold_mean / 1e6,
         speedup,
         bit_identical,
-        session.fallbacks()
+        stream_fallbacks,
+        stream_extractions,
+        dirty_total
     );
 
     let mut report = BenchReport::new("incremental");
@@ -236,6 +228,8 @@ fn run(opts: &Options) {
             ("cold_mean_ns".into(), cold_mean),
             ("dirty_components_total".into(), dirty_total as f64),
             ("fallbacks".into(), session.fallbacks() as f64),
+            ("stream_fallbacks".into(), stream_fallbacks as f64),
+            ("stream_extractions".into(), stream_extractions as f64),
             ("seed_ns".into(), seed_ns),
         ],
         TimingStats::from_samples(&incremental_ns),

@@ -100,14 +100,6 @@ impl Network {
             Network::Slashdot => slashdot_like_scaled(scale, rng),
         }
     }
-
-    /// Full-scale node count (Table II).
-    pub fn full_nodes(self) -> usize {
-        match self {
-            Network::Epinions => isomit_datasets::EPINIONS_NODES,
-            Network::Slashdot => isomit_datasets::SLASHDOT_NODES,
-        }
-    }
 }
 
 /// Common command-line options of the experiment binaries.

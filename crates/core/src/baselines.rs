@@ -1,8 +1,8 @@
 use crate::detection::{DetectedInitiator, Detection, InitiatorDetector};
 use crate::error::RidError;
-use crate::forest_extraction::extract_cascade_forest;
+use crate::forest_extraction::{extract_cascade_forest, BRANCHING_ARENA};
 use isomit_diffusion::InfectedNetwork;
-use isomit_forest::{maximum_branching, weakly_connected_components, WeightedArc};
+use isomit_forest::{maximum_branching_components, weakly_connected_components, WeightedArc};
 use isomit_graph::Sign;
 
 /// The **RID-Tree** baseline (§IV-B1): run the first two stages of RID —
@@ -106,7 +106,7 @@ impl InitiatorDetector for RidPositive {
 
     fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
         let graph = snapshot.graph();
-        let component_count = weakly_connected_components(graph).len();
+        let components = weakly_connected_components(graph);
         // Unsigned method: keep positive arcs with their raw weights,
         // ignoring node states entirely.
         let arcs: Vec<WeightedArc> = graph
@@ -118,9 +118,19 @@ impl InitiatorDetector for RidPositive {
                 weight: e.weight,
             })
             .collect();
-        let branching = maximum_branching(graph.node_count(), &arcs);
-        let initiators = branching
-            .roots()
+        // Dropping negative links only splits components, so every
+        // positive arc stays inside one of the snapshot's components.
+        let branching = BRANCHING_ARENA.with(|arena| {
+            maximum_branching_components(
+                graph.node_count(),
+                &arcs,
+                &components,
+                &mut arena.borrow_mut(),
+            )
+        });
+        let roots = branching.roots();
+        let tree_count = roots.len();
+        let initiators = roots
             .into_iter()
             .map(|root| {
                 let sub_id = isomit_graph::NodeId::from_index(root);
@@ -135,8 +145,8 @@ impl InitiatorDetector for RidPositive {
             .collect();
         let mut detection = Detection {
             initiators,
-            component_count,
-            tree_count: branching.roots().len(),
+            component_count: components.len(),
+            tree_count,
             objective: 0.0,
         };
         detection.sort();
@@ -147,7 +157,11 @@ impl InitiatorDetector for RidPositive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isomit_forest::maximum_branching;
     use isomit_graph::{Edge, NodeId, NodeState, SignedDigraph};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use NodeState::{Negative as N, Positive as P};
 
     fn snapshot(edges: &[(u32, u32, Sign, f64)], states: &[NodeState]) -> InfectedNetwork {
@@ -209,6 +223,80 @@ mod tests {
         );
         let d = RidPositive::new().detect(&s);
         assert_eq!(d.len(), 3);
+    }
+
+    /// RID-Positive computed with one oracle Chu-Liu/Edmonds run over
+    /// all of the snapshot's positive arcs.
+    fn rid_positive_by_oracle(snapshot: &InfectedNetwork) -> Detection {
+        let graph = snapshot.graph();
+        let arcs: Vec<WeightedArc> = graph
+            .edges()
+            .filter(|e| e.sign == Sign::Positive)
+            .map(|e| WeightedArc {
+                src: e.src.index(),
+                dst: e.dst.index(),
+                weight: e.weight,
+            })
+            .collect();
+        let roots = maximum_branching(graph.node_count(), &arcs).roots();
+        let mut detection = Detection {
+            tree_count: roots.len(),
+            initiators: roots
+                .into_iter()
+                .map(|root| {
+                    let sub_id = NodeId::from_index(root);
+                    DetectedInitiator {
+                        node: snapshot.mapping().to_original(sub_id).unwrap(),
+                        state: snapshot.state(sub_id),
+                    }
+                })
+                .collect(),
+            component_count: weakly_connected_components(graph).len(),
+            objective: 0.0,
+        };
+        detection.sort();
+        detection
+    }
+
+    #[test]
+    fn rid_positive_matches_the_oracle_when_negative_links_join_components() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // Repeated weights force the branching's tie-breaks.
+        let weights = [0.125, 0.25, 0.5, 1.0];
+        let mut joined = 0;
+        for _ in 0..64 {
+            let n = rng.gen_range(2..48usize);
+            let mut seen = BTreeSet::new();
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if src == dst || !seen.insert((src, dst)) {
+                    continue;
+                }
+                // Positive arcs stay inside blocks of six nodes, so only
+                // negative links join the blocks into larger components.
+                let sign = if src / 6 == dst / 6 && rng.gen_bool(0.8) {
+                    Sign::Positive
+                } else {
+                    Sign::Negative
+                };
+                joined += usize::from(src / 6 != dst / 6);
+                let weight = weights[rng.gen_range(0..weights.len())];
+                edges.push(Edge::new(
+                    NodeId::from_index(src),
+                    NodeId::from_index(dst),
+                    sign,
+                    weight,
+                ));
+            }
+            let states = (0..n)
+                .map(|_| [P, N, NodeState::Unknown][rng.gen_range(0..3usize)])
+                .collect();
+            let s =
+                InfectedNetwork::from_parts(SignedDigraph::from_edges(n, edges).unwrap(), states);
+            assert_eq!(RidPositive::new().detect(&s), rid_positive_by_oracle(&s));
+        }
+        assert!(joined > 0, "some negative link must join two blocks");
     }
 
     #[test]

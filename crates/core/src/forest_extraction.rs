@@ -17,7 +17,8 @@ thread_local! {
     /// Chu-Liu/Edmonds driver: repeated extractions on one thread (the
     /// serving engine, batch evaluation) reuse the same buffers instead
     /// of re-allocating per component and per snapshot.
-    static BRANCHING_ARENA: RefCell<BranchingArena> = RefCell::new(BranchingArena::default());
+    pub(crate) static BRANCHING_ARENA: RefCell<BranchingArena> =
+        RefCell::new(BranchingArena::default());
 }
 
 /// Number of times [`extract_cascade_forest`] has run **on the calling
@@ -785,9 +786,8 @@ mod tests {
             ],
             &[P; 5],
         );
-        let artifacts = crate::Rid::new(2.0, 0.1).unwrap().extract_stage(&s);
-        let members: Vec<Vec<NodeId>> = artifacts
-            .trees()
+        let (trees, _) = extract_cascade_forest(&s, 2.0);
+        let members: Vec<Vec<NodeId>> = trees
             .iter()
             .map(|t| (0..t.len()).map(|l| t.snapshot_id(l)).collect())
             .collect();
@@ -799,8 +799,8 @@ mod tests {
             ]
         );
         assert_eq!(
-            artifacts.supports(),
-            &[vec![0.0, 0.25], vec![0.0, 0.5, 0.125]]
+            external_support(&s, &trees, 2.0),
+            [vec![0.0, 0.25], vec![0.0, 0.5, 0.125]]
         );
     }
 

@@ -7,10 +7,10 @@
 //! (infect a node, add a diffusion edge, flip an observed state),
 //! tracks which weakly-connected components each delta dirties (a
 //! growable [`isomit_forest::UnionFind`] handles merges), and on
-//! [`answer`](IncrementalRid::answer) re-extracts **only the dirty
-//! components** — with a best-in-edge screen that skips the
-//! Chu-Liu/Edmonds branching entirely when a delta's new arcs lose
-//! everywhere.
+//! [`answer`](IncrementalRid::answer) re-runs [`Rid`]'s own extract and
+//! query stages on **only the dirty components**, each as its own
+//! sub-snapshot, or on the whole snapshot once more than half of its
+//! nodes are dirty.
 //!
 //! The headline contract, pinned by the `incremental` tier-1 suite and
 //! golden fixtures: replaying any valid delta sequence yields a
@@ -21,20 +21,17 @@
 //! stores edges sorted by `(src, dst)`, so a component's sub-snapshot
 //! (members sorted by original id) is a monotone relabeling of the
 //! global snapshot restricted to that component — the branching sees
-//! the same arcs in the same order, the per-tree DP sees the same local
-//! structure, and the final objective is folded over trees in ascending
-//! root order exactly as [`Rid::query_stage`] does.
+//! the same arcs in the same order, and the per-tree DP sees the same
+//! local structure. Solving and folding the trees is then the very code
+//! [`Rid::query_stage`] runs: the same per-tree solve, and the same fold
+//! over trees in ascending root order.
 
 use crate::codec::RidResult;
-use crate::detection::{DetectedInitiator, Detection};
 use crate::error::RidError;
-use crate::forest_extraction::{
-    external_support, extract_cascade_forest, usable_arcs, CascadeTree,
-};
 use crate::rid::{Rid, RidConfig};
-use crate::stages::ForestArtifacts;
+use crate::stages::{fold, ForestArtifacts, SolvedTree};
 use isomit_diffusion::InfectedNetwork;
-use isomit_forest::{UnionFind, WeightedArc};
+use isomit_forest::UnionFind;
 use isomit_graph::json::{JsonError, Value};
 use isomit_graph::{Edge, NodeId, NodeState, Sign, SignedDigraph};
 use std::collections::BTreeMap;
@@ -220,41 +217,9 @@ pub struct AnswerOutcome {
     /// Components whose cached solution was stale and had to be
     /// recomputed (after merging, a merged component counts once).
     pub dirty_components: usize,
-    /// Dirty components whose best-in-edge set was unchanged and
-    /// acyclic, so the cached trees were reused without re-running the
-    /// branching.
-    pub screened_components: usize,
     /// `true` when the answer fell back to a full cold recompute
     /// because the deltas dirtied too much of the snapshot.
     pub full_recompute: bool,
-}
-
-/// Per-tree outcome in original-network ids: membership-independent, so
-/// it survives everything except dirtying its own component.
-#[derive(Debug, Clone)]
-struct SolvedTree {
-    /// Original id of the tree root (unique across the session, and the
-    /// global fold order of [`Rid::query_stage`]).
-    root: NodeId,
-    objective: f64,
-    initiators: Vec<DetectedInitiator>,
-}
-
-/// Best-in-edge screen state cached by the last full extraction of a
-/// component. Valid only while the member set and their states are
-/// unchanged (local ids are positions in the sorted member list).
-#[derive(Debug, Clone)]
-struct Screen {
-    /// Per local node: the winning real in-arc `(src_local, weight
-    /// bits)` under the level-0 "first strictly greater wins" rule, or
-    /// `None` for nodes with no usable in-arc.
-    signature: Vec<Option<(usize, u64)>>,
-    /// Whether the winning-arc functional graph is acyclic — the
-    /// precondition for the branching to be fully determined by the
-    /// signature (no contraction levels).
-    acyclic: bool,
-    /// The trees of the last full extraction, in component-local ids.
-    trees: Vec<CascadeTree>,
 }
 
 /// One weakly-connected component of the session.
@@ -263,11 +228,8 @@ struct ComponentState {
     /// Member slots, sorted by original id (the component-local
     /// numbering: local id = position in this list).
     members: Vec<usize>,
-    /// `true` when `solved` no longer reflects the session state.
-    dirty: bool,
-    /// Screen cache; dropped whenever members or states change.
-    screen: Option<Screen>,
-    /// Per-tree outcomes of the last solve.
+    /// Per-tree outcomes of the last solve, in original ids; `None`
+    /// while the component is dirty.
     solved: Option<Vec<SolvedTree>>,
 }
 
@@ -416,8 +378,6 @@ impl IncrementalRid {
                     slot,
                     ComponentState {
                         members: vec![slot],
-                        dirty: true,
-                        screen: None,
                         solved: None,
                     },
                 );
@@ -452,11 +412,10 @@ impl IncrementalRid {
                 out.push((d, sign, weight));
                 let (ra, rb) = (self.uf.find(s), self.uf.find(d));
                 if ra == rb {
-                    let comp = self
-                        .components
+                    self.components
                         .get_mut(&ra)
-                        .expect("every union-find root has a component entry");
-                    comp.dirty = true;
+                        .expect("every union-find root has a component entry")
+                        .solved = None;
                 } else {
                     self.uf.union(ra, rb);
                     let merged_root = self.uf.find(s);
@@ -472,8 +431,6 @@ impl IncrementalRid {
                         merged_root,
                         ComponentState {
                             members: merge_by_original(&self.originals, a.members, b.members),
-                            dirty: true,
-                            screen: None,
                             solved: None,
                         },
                     );
@@ -496,14 +453,10 @@ impl IncrementalRid {
                 }
                 *held = state;
                 let root = self.uf.find(slot);
-                let comp = self
-                    .components
+                self.components
                     .get_mut(&root)
-                    .expect("every union-find root has a component entry");
-                comp.dirty = true;
-                // The screen's signature depends on endpoint states
-                // (flip discounting), so it cannot vouch for reuse.
-                comp.screen = None;
+                    .expect("every union-find root has a component entry")
+                    .solved = None;
             }
         }
         self.deltas_applied += 1;
@@ -529,14 +482,14 @@ impl IncrementalRid {
     }
 
     /// [`answer`](IncrementalRid::answer), plus what the call actually
-    /// cost: how many components were recomputed, how many were
-    /// screened, and whether the session fell back to a cold recompute.
+    /// cost: how many components were recomputed and whether the session
+    /// fell back to a cold recompute.
     pub fn answer_detailed(&mut self) -> (RidResult, AnswerOutcome) {
         let mut outcome = AnswerOutcome::default();
         let dirty_roots: Vec<usize> = self
             .components
             .iter()
-            .filter(|(_, c)| c.dirty)
+            .filter(|(_, c)| c.solved.is_none())
             .map(|(&root, _)| root)
             .collect();
         outcome.dirty_components = dirty_roots.len();
@@ -558,9 +511,7 @@ impl IncrementalRid {
             self.full_recompute();
         } else {
             for root in dirty_roots {
-                if self.solve_component(root) {
-                    outcome.screened_components += 1;
-                }
+                self.solve_component(root);
             }
         }
         (self.assemble(), outcome)
@@ -578,16 +529,14 @@ impl IncrementalRid {
     }
 
     /// Cold whole-snapshot recompute; repopulates every component's
-    /// per-tree outcomes (original-id based, so membership-independent)
-    /// and clears all dirty flags. Screens are dropped: the next
-    /// incremental solve of a component re-extracts it.
+    /// per-tree outcomes (original-id based, so membership-independent),
+    /// which marks them all clean.
     fn full_recompute(&mut self) {
         self.fallbacks += 1;
         let snapshot = self.snapshot();
         let artifacts = self.rid.extract_stage(&snapshot);
         let mut per_component: BTreeMap<usize, Vec<SolvedTree>> = BTreeMap::new();
-        for (tree, support) in artifacts.trees().iter().zip(artifacts.supports()) {
-            let solved = self.solve_tree(&snapshot, tree, support);
+        for solved in self.rid.solve_trees(&snapshot, &artifacts) {
             let root_slot = *self
                 .index_of
                 .get(&solved.root)
@@ -597,8 +546,6 @@ impl IncrementalRid {
         }
         for (&root, comp) in &mut self.components {
             comp.solved = Some(per_component.remove(&root).unwrap_or_default());
-            comp.dirty = false;
-            comp.screen = None;
         }
         debug_assert!(
             per_component.is_empty(),
@@ -607,89 +554,30 @@ impl IncrementalRid {
         self.pending_artifacts = Some((snapshot, artifacts));
     }
 
-    /// Recomputes one dirty component; returns `true` if the best-in
-    /// screen allowed reusing the cached trees without re-running the
-    /// branching.
-    fn solve_component(&mut self, root: usize) -> bool {
-        let comp = self
+    /// Recomputes one dirty component: [`Rid::extract_stage`] and the
+    /// query-stage solve on its own sub-snapshot.
+    fn solve_component(&mut self, root: usize) {
+        let mut local_of = std::mem::take(&mut self.local_of);
+        let members = &self
             .components
             .get(&root)
-            .expect("solve_component called with a live component root");
-        let members = comp.members.clone();
-        let mut local_of = std::mem::take(&mut self.local_of);
-        let sub = self.snapshot_of(&members, &mut local_of);
+            .expect("solve_component called with a live component root")
+            .members;
+        let sub = self.snapshot_of(members, &mut local_of);
         self.local_of = local_of;
-        let arcs = usable_arcs(&sub, self.rid.alpha());
-        let (signature, acyclic) = best_in_signature(sub.node_count(), &arcs);
-        // Screen: if every arc the deltas added since the last
-        // extraction *loses* its destination's best-in contest, the
-        // level-0 best-in forest — and, when it is acyclic, the whole
-        // branching — is unchanged, so the cached trees stand. Supports
-        // and the DP still rerun: losing arcs change the noisy-or
-        // external support of their destinations.
-        let comp = self
-            .components
+        let solved = self.rid.solve_trees(&sub, &self.rid.extract_stage(&sub));
+        self.components
             .get_mut(&root)
-            .expect("solve_component called with a live component root");
-        let (screened, trees) = match comp.screen.take() {
-            Some(screen) if screen.acyclic && screen.signature == signature => (true, screen.trees),
-            _ => (false, extract_cascade_forest(&sub, self.rid.alpha()).0),
-        };
-        let supports = external_support(&sub, &trees, self.rid.alpha());
-        let solved = trees
-            .iter()
-            .zip(&supports)
-            .map(|(tree, support)| self.solve_tree(&sub, tree, support))
-            .collect();
-        let comp = self
-            .components
-            .get_mut(&root)
-            .expect("solve_component called with a live component root");
-        comp.solved = Some(solved);
-        comp.screen = Some(Screen {
-            signature,
-            acyclic,
-            trees,
-        });
-        comp.dirty = false;
-        screened
-    }
-
-    /// Runs the query-stage DP on one tree ([`Rid::solve_tree`], as
-    /// [`Rid::query_stage`] does) and translates the outcome to
-    /// original ids.
-    fn solve_tree(
-        &self,
-        snapshot: &InfectedNetwork,
-        tree: &CascadeTree,
-        support: &[f64],
-    ) -> SolvedTree {
-        let outcome = self.rid.solve_tree(tree, support);
-        let to_original = |sub_id: NodeId| {
-            snapshot
-                .mapping()
-                .to_original(sub_id)
-                .expect("snapshot id maps to original network")
-        };
-        SolvedTree {
-            root: to_original(tree.snapshot_id(tree.root())),
-            objective: outcome.objective,
-            initiators: outcome
-                .initiators
-                .into_iter()
-                .map(|(sub_id, state)| DetectedInitiator {
-                    node: to_original(sub_id),
-                    state: NodeState::from_sign(state),
-                })
-                .collect(),
-        }
+            .expect("solve_component called with a live component root")
+            .solved = Some(solved);
     }
 
     /// Assembles the global [`RidResult`] from the (now all-clean)
-    /// per-component outcomes. Trees are folded in ascending
-    /// original-root order — the same order a cold run folds them in
-    /// (tree roots ascend with snapshot ids, which ascend with original
-    /// ids) — so the objective sum is bit-identical.
+    /// per-component outcomes, through the fold of
+    /// [`Rid::query_stage`]. Trees are passed in ascending original-root
+    /// order, the order a cold run folds them in (tree roots ascend
+    /// with snapshot ids, which ascend with original ids), so the
+    /// objective sum is bit-identical.
     fn assemble(&self) -> RidResult {
         let mut trees: Vec<&SolvedTree> = self
             .components
@@ -701,22 +589,9 @@ impl IncrementalRid {
             })
             .collect();
         trees.sort_by_key(|t| t.root);
-        let mut objective = 0.0;
-        let mut initiators = Vec::new();
-        for tree in &trees {
-            objective += tree.objective;
-            initiators.extend(tree.initiators.iter().cloned());
-        }
-        let mut detection = Detection {
-            initiators,
-            component_count: self.components.len(),
-            tree_count: trees.len(),
-            objective,
-        };
-        detection.sort();
         RidResult {
             config: self.config,
-            detection,
+            detection: fold(trees, self.components.len()),
         }
     }
 
@@ -798,75 +673,6 @@ fn merge_by_original(originals: &[NodeId], a: Vec<usize>, b: Vec<usize>) -> Vec<
     merged.extend(ia);
     merged.extend(ib);
     merged
-}
-
-/// Computes the level-0 best-in signature of a component's usable arcs:
-/// per destination, the winning real arc under the branching's "first
-/// strictly greater wins" rule (virtual root edges never beat a real
-/// arc), plus whether the winning-arc functional graph is acyclic.
-///
-/// When it is acyclic, Chu-Liu/Edmonds terminates at level 0 and the
-/// branching *is* this signature — which is what makes signature
-/// equality a sound screen for tree reuse. Acyclicity itself is a
-/// function of the signature, so equal signatures always agree on it.
-fn best_in_signature(n: usize, arcs: &[WeightedArc]) -> (Vec<Option<(usize, u64)>>, bool) {
-    let mut best: Vec<Option<(usize, f64)>> = vec![None; n];
-    for arc in arcs {
-        let incumbent = best
-            .get_mut(arc.dst)
-            .expect("arc endpoints lie inside the component");
-        let wins = match *incumbent {
-            None => true,
-            Some((_, held)) => arc.weight > held,
-        };
-        if wins {
-            *incumbent = Some((arc.src, arc.weight));
-        }
-    }
-    // Cycle check over the parent-pointer graph dst -> winning src.
-    // 0 = unvisited, 1 = on the current walk, 2 = known cycle-free.
-    let mut color = vec![0u8; n];
-    let mut acyclic = true;
-    let mut path = Vec::new();
-    for start in 0..n {
-        if color.get(start).copied() != Some(0) {
-            continue;
-        }
-        let mut cur = start;
-        loop {
-            let mark = color
-                .get_mut(cur)
-                .expect("the parent-pointer walk stays inside the component");
-            match *mark {
-                1 => {
-                    acyclic = false;
-                    break;
-                }
-                2 => break,
-                _ => {}
-            }
-            *mark = 1;
-            path.push(cur);
-            match best.get(cur).copied().flatten() {
-                Some((src, _)) => cur = src,
-                None => break,
-            }
-        }
-        for &v in &path {
-            *color
-                .get_mut(v)
-                .expect("walked vertices are component slots") = 2;
-        }
-        path.clear();
-        if !acyclic {
-            break;
-        }
-    }
-    let signature = best
-        .into_iter()
-        .map(|slot| slot.map(|(src, weight)| (src, weight.to_bits())))
-        .collect();
-    (signature, acyclic)
 }
 
 #[cfg(test)]
@@ -1064,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn losing_edge_is_screened_without_branching_rerun() {
+    fn losing_edge_reextracts_exactly_its_component() {
         let mut s = session();
         for node in 0..12 {
             s.apply(&infect(node, NodeState::Positive)).unwrap();
@@ -1073,25 +879,27 @@ mod tests {
         s.apply(&edge(0, 1, Sign::Positive, 0.9)).unwrap();
         s.apply(&edge(1, 2, Sign::Positive, 0.9)).unwrap();
         s.apply(&edge(3, 1, Sign::Positive, 0.8)).unwrap();
-        s.answer(); // All-dirty: falls back, leaving no screen caches.
+        s.answer(); // All-dirty: falls back.
         s.apply(&edge(0, 3, Sign::Positive, 0.2)).unwrap();
-        s.answer(); // Full component extraction populates the screen.
+        s.answer(); // Solves the four-node component on its own.
         let before = extraction_run_count();
-        // Boosted to 0.3, strictly below node 2's incumbent best-in.
+        // Boosted to 0.3, strictly below node 2's incumbent best-in: the
+        // forest is unchanged, yet the component is extracted again.
         s.apply(&edge(3, 2, Sign::Positive, 0.1)).unwrap();
         let (result, outcome) = s.answer_detailed();
         assert_eq!(outcome.dirty_components, 1);
-        assert_eq!(
-            outcome.screened_components, 1,
-            "a strictly-losing arc must pass the best-in screen"
-        );
+        assert!(!outcome.full_recompute);
         assert_eq!(
             extraction_run_count() - before,
-            0,
-            "screened components skip the branching entirely"
+            1,
+            "exactly the dirtied component is extracted"
         );
         let cold = Rid::from_config(s.config()).unwrap().detect(&s.snapshot());
         assert_eq!(result.detection, cold);
+        assert_eq!(
+            result.detection.objective.to_bits(),
+            cold.objective.to_bits()
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::error::RidError;
 use crate::forest_extraction::{external_support, extract_cascade_forest, CascadeTree};
 use crate::rid::{Rid, RidObjective};
 use isomit_diffusion::InfectedNetwork;
-use isomit_graph::NodeState;
+use isomit_graph::{NodeId, NodeState};
 use isomit_telemetry::{names, Histogram};
 use std::sync::OnceLock;
 
@@ -71,13 +71,6 @@ impl ForestArtifacts {
     /// Number of weakly-connected components in the snapshot.
     pub fn component_count(&self) -> usize {
         self.component_count
-    }
-
-    /// Per-tree external-support tables, aligned with [`trees`](Self::trees).
-    /// Crate-internal: the incremental session replays the query-stage DP
-    /// tree by tree to regroup outcomes per component.
-    pub(crate) fn supports(&self) -> &[Vec<f64>] {
-        &self.supports
     }
 
     /// Approximate heap footprint in bytes, used by cache accounting.
@@ -138,37 +131,55 @@ impl Rid {
                 artifact_alpha: artifacts.alpha,
             });
         }
-        let mut initiators = Vec::new();
-        let mut objective = 0.0;
-        for (tree, support) in artifacts.trees.iter().zip(&artifacts.supports) {
-            let outcome = self.solve_tree(tree, support);
-            objective += outcome.objective;
-            for (sub_id, state) in outcome.initiators {
-                let node = snapshot
-                    .mapping()
-                    .to_original(sub_id)
-                    .expect("snapshot id maps to original network");
-                initiators.push(DetectedInitiator {
-                    node,
-                    state: NodeState::from_sign(state),
-                });
-            }
-        }
-        let mut detection = Detection {
-            initiators,
-            component_count: artifacts.component_count,
-            tree_count: artifacts.trees.len(),
-            objective,
+        Ok(fold(
+            &self.solve_trees(snapshot, artifacts),
+            artifacts.component_count,
+        ))
+    }
+
+    /// Runs the query-stage DP on every tree of `artifacts` and
+    /// translates each outcome to original ids, in extraction order
+    /// (ascending root snapshot id). The incremental session solves its
+    /// component sub-snapshots and its fallback snapshots through here,
+    /// so it solves a tree exactly as [`query_stage`](Rid::query_stage)
+    /// does.
+    pub(crate) fn solve_trees(
+        &self,
+        snapshot: &InfectedNetwork,
+        artifacts: &ForestArtifacts,
+    ) -> Vec<SolvedTree> {
+        let to_original = |sub_id: NodeId| {
+            snapshot
+                .mapping()
+                .to_original(sub_id)
+                .expect("snapshot id maps to original network")
         };
-        detection.sort();
-        Ok(detection)
+        artifacts
+            .trees
+            .iter()
+            .zip(&artifacts.supports)
+            .map(|(tree, support)| {
+                let outcome = self.solve_tree(tree, support);
+                SolvedTree {
+                    root: to_original(tree.snapshot_id(tree.root())),
+                    objective: outcome.objective,
+                    initiators: outcome
+                        .initiators
+                        .into_iter()
+                        .map(|(sub_id, state)| DetectedInitiator {
+                            node: to_original(sub_id),
+                            state: NodeState::from_sign(state),
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
     }
 
     /// The query-stage DP on one cascade tree under this detector's
     /// objective, `beta` and support toggle; `support` is the tree's
-    /// external-support table. Shared by [`query_stage`](Rid::query_stage)
-    /// and the incremental session, so both solve a tree identically.
-    pub(crate) fn solve_tree(&self, tree: &CascadeTree, support: &[f64]) -> DpOutcome {
+    /// external-support table.
+    fn solve_tree(&self, tree: &CascadeTree, support: &[f64]) -> DpOutcome {
         match self.objective() {
             RidObjective::ProbabilitySum => TreeDp::solve_probability_sum_with_support(
                 tree,
@@ -179,6 +190,41 @@ impl Rid {
             RidObjective::LogLikelihood => TreeDp::solve_penalized(tree, self.alpha(), self.beta()),
         }
     }
+}
+
+/// One cascade tree's query-stage outcome in original-network ids, so it
+/// does not depend on how the snapshot it was solved in numbered its
+/// nodes: the incremental session caches these per component.
+#[derive(Debug, Clone)]
+pub(crate) struct SolvedTree {
+    /// Original id of the tree root.
+    pub(crate) root: NodeId,
+    objective: f64,
+    initiators: Vec<DetectedInitiator>,
+}
+
+/// Folds solved trees into one [`Detection`]: the objective is summed
+/// in the order given and the initiators are sorted. Both callers pass
+/// the trees in ascending root order: [`Rid::query_stage`] in extraction
+/// order, and the incremental session by original root id, which is the
+/// order of its snapshot's ids. So the sum is bit-identical on both.
+pub(crate) fn fold<'a>(
+    trees: impl IntoIterator<Item = &'a SolvedTree>,
+    component_count: usize,
+) -> Detection {
+    let mut detection = Detection {
+        initiators: Vec::new(),
+        component_count,
+        tree_count: 0,
+        objective: 0.0,
+    };
+    for tree in trees {
+        detection.objective += tree.objective;
+        detection.initiators.extend_from_slice(&tree.initiators);
+        detection.tree_count += 1;
+    }
+    detection.sort();
+    detection
 }
 
 #[cfg(test)]

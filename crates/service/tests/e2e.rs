@@ -455,7 +455,7 @@ fn overload_yields_structured_errors_not_hangs() {
 }
 
 /// A deterministic watch-session delta script: three components that
-/// grow, merge and flip — enough to exercise incremental, screened and
+/// grow, merge and flip — enough to exercise per-component and
 /// fallback answers.
 fn watch_script() -> Vec<RidDelta> {
     let mut deltas = Vec::new();

@@ -208,27 +208,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Builds a snapshot directly from per-bucket counts (missing
-    /// trailing buckets are zero; extras are rejected).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when more than [`BUCKET_COUNT`] counts are
-    /// given (the type is also used while decoding wire payloads).
-    pub fn from_bucket_counts(counts: &[u64], sum: u64) -> Result<HistogramSnapshot, JsonError> {
-        if counts.len() > BUCKET_COUNT {
-            return Err(JsonError::new(format!(
-                "histogram has {} buckets, expected at most {BUCKET_COUNT}",
-                counts.len()
-            )));
-        }
-        let mut buckets = vec![0u64; BUCKET_COUNT];
-        for (slot, &c) in buckets.iter_mut().zip(counts) {
-            *slot = c;
-        }
-        Ok(HistogramSnapshot { buckets, sum })
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

@@ -191,11 +191,6 @@ impl RegistrySnapshot {
         self.histograms.get(name)
     }
 
-    /// Names of all histograms, in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// Combines two snapshots (e.g. the process-global registry and a
     /// per-engine registry). Counters and histogram buckets sum on name
     /// collision; for gauges — instantaneous values with no meaningful

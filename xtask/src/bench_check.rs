@@ -23,7 +23,12 @@
 //! * the incremental watch-session amortized speedup over cold
 //!   recompute (`speedup_amortized` in `BENCH_incremental.json`) falls
 //!   below `floors.incremental_speedup`, or any of its answers diverged
-//!   from the cold reference (`bit_identical`);
+//!   from the cold reference (`bit_identical`), or its sparse tail did
+//!   not stay incremental: any fallback after the warm-up answer
+//!   (`stream_fallbacks`), or a forest-extraction count other than one
+//!   per dirty component (`stream_extractions` against
+//!   `dirty_components_total`). The speedup alone cannot tell, since it
+//!   divides the cold recompute by whatever the session did;
 //! * the serving layer's cached-snapshot throughput (`service_rps` in
 //!   `BENCH_service.json`'s `service/summary` entry) falls below
 //!   `floors.service_rps`, its hot-path tail latency (`hot_p99_ns`)
@@ -167,6 +172,41 @@ fn check_speedup_floor(
         None => out
             .failures
             .push(format!("{name}: {group}/{id} has no `{key}` metric")),
+    }
+}
+
+/// The `watch_load` tail must have stayed incremental: no full-recompute
+/// fallback after the warm-up answer, and exactly one forest extraction
+/// per dirty component.
+fn check_incremental_counts(name: &str, entries: &[Metrics<'_>], out: &mut BenchCheckOutcome) {
+    let Some(m) = find(entries, "incremental", "watch_load") else {
+        out.failures.push(format!(
+            "{name}: missing incremental/watch_load entry — regenerate the artifact"
+        ));
+        return;
+    };
+    let (Some(fallbacks), Some(extractions), Some(dirty)) = (
+        m.get("stream_fallbacks"),
+        m.get("stream_extractions"),
+        m.get("dirty_components_total"),
+    ) else {
+        out.failures.push(format!(
+            "{name}: incremental/watch_load lacks stream_fallbacks, stream_extractions \
+             or dirty_components_total — regenerate the artifact"
+        ));
+        return;
+    };
+    if fallbacks != 0.0 {
+        out.failures.push(format!(
+            "{name}: incremental/watch_load fell back to a full recompute {fallbacks} \
+             times during the sparse tail"
+        ));
+    }
+    if extractions != dirty {
+        out.failures.push(format!(
+            "{name}: incremental/watch_load ran {extractions} forest extractions for \
+             {dirty} dirty components; the tail must extract each dirty component once"
+        ));
     }
 }
 
@@ -406,6 +446,7 @@ pub fn run_bench_check(root: &Path, update: bool) -> Result<BenchCheckOutcome, S
         floor(&baselines, "incremental_speedup")?,
         &mut out,
     );
+    check_incremental_counts("BENCH_incremental.json", &incremental_entries, &mut out);
     check_sampling_regression("BENCH_scale.json", &scale_entries, &baselines, &mut out);
     check_service("BENCH_service.json", &service_entries, &baselines, &mut out)?;
 
@@ -561,6 +602,44 @@ mod tests {
             &mut ok,
         );
         assert!(ok.failures.is_empty(), "{:?}", ok.failures);
+    }
+
+    #[test]
+    fn incremental_counts_gate_a_tail_that_stopped_being_incremental() {
+        let counts = |fallbacks: u32, extractions: u32| {
+            let doc = artifact(&format!(
+                r#"{{"group":"incremental","id":"watch_load","metrics":{{"stream_fallbacks":{fallbacks},"stream_extractions":{extractions},"dirty_components_total":50}}}}"#
+            ));
+            let mut out = BenchCheckOutcome::default();
+            check_incremental_counts("BENCH_incremental.json", &metrics_entries(&doc), &mut out);
+            out.failures.len()
+        };
+        assert_eq!(
+            counts(0, 50),
+            0,
+            "one extraction per dirty component passes"
+        );
+        assert_eq!(counts(1, 50), 1, "a fallback in the tail must fail");
+        assert_eq!(counts(0, 0), 1, "extracting nothing must fail");
+        assert_eq!(
+            counts(0, 51),
+            1,
+            "extracting more than the dirty set must fail"
+        );
+        assert_eq!(counts(2, 2), 2, "both faults are reported");
+    }
+
+    #[test]
+    fn incremental_counts_missing_from_the_artifact_fail() {
+        let doc = artifact(
+            r#"{"group":"incremental","id":"watch_load","metrics":{"speedup_amortized":90,"bit_identical":1,"dirty_components_total":50}}"#,
+        );
+        let mut out = BenchCheckOutcome::default();
+        check_incremental_counts("BENCH_incremental.json", &metrics_entries(&doc), &mut out);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        let mut out = BenchCheckOutcome::default();
+        check_incremental_counts("BENCH_incremental.json", &[], &mut out);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
     }
 
     #[test]
