@@ -5,7 +5,8 @@
 use isomit_bench::report::{BenchmarkId, Harness};
 use isomit_datasets::{epinions_like_scaled, paper_weights};
 use isomit_diffusion::{
-    DiffusionModel, IndependentCascade, LinearThreshold, Mfc, PolarityIc, SeedSet, Sir,
+    simulate_wide_reference, wide_lane_key, DiffusionModel, IndependentCascade, LinearThreshold,
+    Mfc, PolarityIc, SeedSet, Sir, WideSimulator, MAX_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,9 +56,38 @@ fn bench_mfc_scaling(c: &mut Harness) {
     group.finish();
 }
 
+/// One 64-lane batch of the wide MFC engine, in the shape of a served
+/// `simulate` request: 3 initiators sampled from a fixed RNG seed on the
+/// Epinions-like network with paper weights (scale 0.3 is the network
+/// the daemon benchmark serves), α = 3 as in RID's default config.
+/// `reference/<n>` replays one lane of the same batch through the scalar
+/// oracle.
+fn bench_wide_batch(c: &mut Harness) {
+    let mut group = c.benchmark_group("wide_batch");
+    group.sample_size(10);
+    let model = Mfc::new(3.0).unwrap();
+    let keys: Vec<u64> = (0..MAX_LANES).map(|t| wide_lane_key(1, t)).collect();
+    for scale in [0.05, 0.3] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let social = epinions_like_scaled(scale, &mut rng);
+        let diffusion = paper_weights(&social, &mut rng);
+        let seeds = SeedSet::sample(&diffusion, 3, 0.5, &mut StdRng::seed_from_u64(0));
+        let n = diffusion.node_count();
+        let sim = WideSimulator::new(&model, &diffusion);
+        group.bench_function(BenchmarkId::new("wide", n), |b| {
+            b.iter(|| sim.run(&seeds, &keys))
+        });
+        group.bench_function(BenchmarkId::new("reference", n), |b| {
+            b.iter(|| simulate_wide_reference(&model, &diffusion, &seeds, keys[0]))
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut harness = Harness::new("diffusion");
     bench_models(&mut harness);
     bench_mfc_scaling(&mut harness);
+    bench_wide_batch(&mut harness);
     harness.finish().expect("write bench artifact");
 }

@@ -49,6 +49,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+mod bitmap;
 mod cascade;
 mod error;
 mod ic;

@@ -1,3 +1,4 @@
+use crate::bitmap;
 use crate::model::gen_unit;
 use crate::{ActivationEvent, Cascade, DiffusionError, DiffusionModel, SeedSet};
 use isomit_graph::{NodeId, NodeState, Sign, SignedDigraph};
@@ -43,6 +44,112 @@ impl DiffusionModel for LinearThreshold {
         let n = graph.node_count();
         let mut cascade = Cascade::new(n, seeds);
         let thresholds: Vec<f64> = (0..n).map(|_| gen_unit(rng)).collect();
+        // Only an out-neighbour of a node activated in the previous round
+        // (in round 1, of a seed) can newly cross its threshold: any other
+        // inactive node sums the same active in-edges as in the round
+        // before, when it stayed below.
+        let mut candidates = bitmap::empty(n);
+        for (u, _) in seeds.iter() {
+            mark_out_neighbours(graph, u, &mut candidates);
+        }
+
+        let mut rounds = 0usize;
+        loop {
+            rounds += 1;
+            let mut newly: Vec<(NodeId, NodeId, Sign)> = Vec::new();
+            bitmap::drain(&mut candidates, |i| {
+                let v = NodeId::from_index(i);
+                if cascade.state(v) == NodeState::Inactive {
+                    let threshold = thresholds.get(i).expect("candidates are node ids");
+                    newly.extend(crossing(graph, &cascade, v, *threshold));
+                }
+            });
+            if newly.is_empty() {
+                break;
+            }
+            for (v, activator, opinion) in newly {
+                cascade.record(ActivationEvent {
+                    step: rounds,
+                    src: activator,
+                    dst: v,
+                    new_state: opinion,
+                    flip: false,
+                });
+                mark_out_neighbours(graph, v, &mut candidates);
+            }
+        }
+        cascade.finish(rounds, false);
+        Ok(cascade)
+    }
+}
+
+fn mark_out_neighbours(graph: &SignedDigraph, u: NodeId, candidates: &mut [u64]) {
+    for v in graph.out_neighbors(u) {
+        bitmap::insert(candidates, v.index());
+    }
+}
+
+/// Whether inactive `v` crosses `threshold` on its active in-neighbours'
+/// normalized weight: then `(v, activator, opinion)`, with the heaviest
+/// active in-neighbour as the nominal activator (cascade-tree
+/// bookkeeping) and the weighted signed majority as the opinion.
+fn crossing(
+    graph: &SignedDigraph,
+    cascade: &Cascade,
+    v: NodeId,
+    threshold: f64,
+) -> Option<(NodeId, NodeId, Sign)> {
+    let mut weight_in = 0.0;
+    let mut active_weight = 0.0;
+    let mut signed_influence = 0.0;
+    let mut best: Option<(f64, NodeId)> = None;
+    for e in graph.in_edges(v) {
+        weight_in += e.weight;
+        if let Some(su) = cascade.state(e.src).sign() {
+            active_weight += e.weight;
+            signed_influence += e.weight * f64::from(su.value()) * f64::from(e.sign.value());
+            if best.is_none_or(|(bw, _)| e.weight > bw) {
+                best = Some((e.weight, e.src));
+            }
+        }
+    }
+    if weight_in <= 0.0 || active_weight / weight_in < threshold {
+        return None;
+    }
+    let opinion = if signed_influence >= 0.0 {
+        Sign::Positive
+    } else {
+        Sign::Negative
+    };
+    let Some((_, activator)) = best else {
+        unreachable!("threshold reached implies an active in-neighbour");
+    };
+    Some((v, activator, opinion))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use isomit_graph::Edge;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
+    }
+
+    /// The full-rescan oracle: every round re-evaluates every inactive
+    /// node with in-weight.
+    fn simulate_full_rescan(
+        graph: &SignedDigraph,
+        seeds: &SeedSet,
+        rng: &mut dyn RngCore,
+    ) -> Result<Cascade, DiffusionError> {
+        seeds.validate_against(graph)?;
+        let n = graph.node_count();
+        let mut cascade = Cascade::new(n, seeds);
+        let thresholds: Vec<f64> = (0..n).map(|_| gen_unit(rng)).collect();
         let total_in_weight: Vec<f64> = (0..n)
             .map(|i| {
                 graph
@@ -64,8 +171,6 @@ impl DiffusionModel for LinearThreshold {
                 }
                 let mut active_weight = 0.0;
                 let mut signed_influence = 0.0;
-                // Track the heaviest active in-neighbour as the nominal
-                // activator for cascade-tree bookkeeping.
                 let mut best: Option<(f64, NodeId, Sign)> = None;
                 for e in graph.in_edges(v) {
                     if let Some(su) = cascade.state(e.src).sign() {
@@ -85,9 +190,8 @@ impl DiffusionModel for LinearThreshold {
                     } else {
                         Sign::Negative
                     };
-                    let Some((_, activator, _)) = best else {
-                        unreachable!("threshold reached implies an active in-neighbour");
-                    };
+                    let (_, activator, _) =
+                        best.expect("threshold reached implies an active in-neighbour");
                     newly.push((v, activator, opinion));
                 }
             }
@@ -107,17 +211,48 @@ impl DiffusionModel for LinearThreshold {
         cascade.finish(rounds, false);
         Ok(cascade)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use isomit_graph::Edge;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    /// Graphs spanning up to three bitmap words, with zero weights (a
+    /// node whose in-weight is zero never crosses) and dense enough for
+    /// multi-round cascades.
+    fn arb_graph_and_seeds() -> impl Strategy<Value = (SignedDigraph, SeedSet)> {
+        (2u32..160).prop_flat_map(|n| {
+            let weight = (0u8..4, 0.0f64..=1.0).prop_map(|(k, w)| match k {
+                0 => 0.0,
+                1 => 1.0,
+                _ => w,
+            });
+            let edge = (0..n, 0..n, any::<bool>(), weight).prop_filter_map(
+                "no self-loops",
+                |(a, b, pos, w)| {
+                    let sign = if pos { Sign::Positive } else { Sign::Negative };
+                    (a != b).then(|| Edge::new(NodeId(a), NodeId(b), sign, w))
+                },
+            );
+            let edges = proptest::collection::vec(edge, 0..(4 * n as usize));
+            let seeds = proptest::collection::btree_map(0..n, any::<bool>(), 1..=4);
+            (edges, seeds).prop_map(move |(edges, seeds)| {
+                let g = SignedDigraph::from_edges(n as usize, edges).unwrap();
+                let sign = |pos| if pos { Sign::Positive } else { Sign::Negative };
+                let seeds =
+                    SeedSet::from_pairs(seeds.into_iter().map(|(v, pos)| (NodeId(v), sign(pos))));
+                (g, seeds.unwrap())
+            })
+        })
+    }
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn candidate_rounds_equal_the_full_rescan(
+            (g, seeds) in arb_graph_and_seeds(),
+            seed in any::<u64>(),
+        ) {
+            let served = LinearThreshold::new().simulate(&g, &seeds, &mut rng(seed)).unwrap();
+            let oracle = simulate_full_rescan(&g, &seeds, &mut rng(seed)).unwrap();
+            prop_assert_eq!(served, oracle);
+        }
     }
 
     #[test]

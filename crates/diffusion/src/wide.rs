@@ -1,4 +1,4 @@
-// lint:allow-file(indexing) hot-path bitplane kernel: every node index comes from the validated CSR (dst < node_count) and every edge index from the flat-array prefix sums built over the same CSR
+// lint:allow-file(indexing) hot-path bitplane kernel: every node index is a seed checked by `validate_against`, a bitmap member, or a `dst` of the graph's validated CSR, and each plane holds `node_count` words
 //! 64-lane bitset Monte-Carlo MFC engine: runs up to 64 **independent**
 //! trials per pass over the graph, one trial per bit of a `u64`
 //! bitplane.
@@ -13,8 +13,17 @@
 //!   paper's positive and negative activation states);
 //! * `positive[v]` — lane's opinion at `v` is `+1` (only meaningful
 //!   where the `active` bit is set; maintained zero elsewhere);
-//! * `frontier[v]` / `next[v]` — lane activated or flipped `v` in the
-//!   previous / current round and must spread from it next round.
+//! * `frontier_plane[v]` / `next_plane[v]` — lane activated or flipped
+//!   `v` in the previous / current round and must spread from it next
+//!   round.
+//!
+//! Beside the planes, a `frontier` and a `next` bitmap hold one bit per
+//! node: the nodes whose frontier / next word is nonzero. A round walks
+//! the frontier bitmap in ascending node order, taking each visited
+//! node's frontier word (which zeroes it) and reading its out-edges
+//! straight from the graph's CSR; a success sets the target's next word
+//! and its bit in `next`. At the end of the round the two planes and
+//! the two bitmaps swap, so no per-node transfer or sort remains.
 //!
 //! One pass over a frontier node's out-edges then advances all 64
 //! trials at once: eligibility (Algorithm 1, line 8) is evaluated with
@@ -62,6 +71,7 @@
 //! numbers whether it runs as lane 6 of batch 1 or alone in a width-1
 //! batch.
 
+use crate::bitmap;
 use crate::montecarlo::{check_runs, Tally, RUN_STREAM};
 use crate::{DiffusionError, InfectionEstimate, Mfc, SeedSet};
 use isomit_graph::{NodeId, NodeState, SignedDigraph};
@@ -209,52 +219,23 @@ impl WideBatch {
     }
 }
 
-/// Reusable wide-simulation context: the CSR flattened into plain
-/// arrays with **pre-boosted** success probabilities, so the inner loop
-/// touches no enum tags and recomputes no `min(1, α·w)`.
-///
-/// Build once per (model, graph) pair and run any number of batches
-/// against it (it is `Sync`; the parallel estimator shares one across
-/// workers).
+/// Wide-simulation context: a model and the graph whose own out-edge CSR
+/// the kernel reads in place. An edge's probability (`min(1, α·w)` / raw
+/// `w`) is boosted only when some lane is eligible to cross it, so
+/// building one copies and allocates nothing. It is `Sync`: the parallel
+/// estimator shares one across workers.
 #[derive(Debug)]
 pub struct WideSimulator<'g> {
     graph: &'g SignedDigraph,
-    max_rounds: usize,
-    /// `offsets[u]..offsets[u + 1]` indexes `u`'s out-edges below.
-    offsets: Vec<usize>,
-    dst: Vec<u32>,
-    /// Boosted success probability `min(1, α·w)` / raw `w` per edge.
-    prob: Vec<f64>,
-    /// Sign plane: `!0` for positive (trust) edges, `0` for negative —
-    /// branch-free select masks for the flip rule and the state product.
-    pos_edge: Vec<u64>,
+    model: Mfc,
 }
 
 impl<'g> WideSimulator<'g> {
-    /// Flattens `graph` for wide simulation under `model`.
+    /// A simulator of `model` over `graph`.
     pub fn new(model: &Mfc, graph: &'g SignedDigraph) -> Self {
-        let n = graph.node_count();
-        let m = graph.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut dst = Vec::with_capacity(m);
-        let mut prob = Vec::with_capacity(m);
-        let mut pos_edge = Vec::with_capacity(m);
-        offsets.push(0);
-        for u in graph.nodes() {
-            for e in graph.out_edges(u) {
-                dst.push(e.dst.0);
-                prob.push(model.boosted_probability(e.sign, e.weight));
-                pos_edge.push(if e.sign.is_positive() { !0u64 } else { 0 });
-            }
-            offsets.push(dst.len());
-        }
         WideSimulator {
             graph,
-            max_rounds: model.max_rounds(),
-            offsets,
-            dst,
-            prob,
-            pos_edge,
+            model: *model,
         }
     }
 
@@ -290,8 +271,8 @@ impl<'g> WideSimulator<'g> {
         let mut positive = vec![0u64; n];
         let mut frontier_plane = vec![0u64; n];
         let mut next_plane = vec![0u64; n];
-
-        let mut frontier: Vec<u32> = Vec::with_capacity(seeds.len());
+        let mut frontier = bitmap::empty(n);
+        let mut next = bitmap::empty(n);
         for (node, sign) in seeds.iter() {
             let v = node.index();
             active[v] = full;
@@ -299,39 +280,36 @@ impl<'g> WideSimulator<'g> {
                 positive[v] = full;
             }
             frontier_plane[v] = full;
-            frontier.push(node.0);
+            bitmap::insert(&mut frontier, v);
         }
-        frontier.sort_unstable();
-        let mut next: Vec<u32> = Vec::new();
 
         let mut rounds = 0usize;
         let mut truncated = 0u64;
-        while !frontier.is_empty() {
+        while frontier.iter().any(|&word| word != 0) {
             rounds += 1;
-            if rounds > self.max_rounds {
-                for &u in &frontier {
-                    truncated |= frontier_plane[u as usize];
-                }
+            if rounds > self.model.max_rounds() {
+                truncated = frontier_plane.iter().fold(0, |lanes, &fu| lanes | fu);
                 break;
             }
             let rkey = round_key(rounds);
-            for &u in &frontier {
-                let u = u as usize;
-                let fu = frontier_plane[u];
+            bitmap::drain(&mut frontier, |u| {
+                let fu = std::mem::take(&mut frontier_plane[u]);
                 let pu = positive[u];
-                for i in self.offsets[u]..self.offsets[u + 1] {
-                    let v32 = self.dst[i];
-                    let v = v32 as usize;
-                    let av = active[v];
-                    let sign_plane = self.pos_edge[i];
+                let (first, dst, signs, weights) = self.graph.out_columns(NodeId::from_index(u));
+                for (i, ((v, &sign), &w)) in (first..).zip(dst.iter().zip(signs).zip(weights)) {
+                    let v = v.index();
+                    // `!0` over a trust edge, `0` over a distrust edge:
+                    // branch-free select masks for the flip rule and the
+                    // state product.
+                    let sign_plane = if sign.is_positive() { !0u64 } else { 0 };
                     // Algorithm 1, line 8, across all lanes at once:
                     // inactive targets, plus active opposite-opinion
                     // targets reached over a trust edge.
-                    let mut eligible = fu & (!av | (sign_plane & (pu ^ positive[v])));
+                    let mut eligible = fu & (!active[v] | (sign_plane & (pu ^ positive[v])));
                     if eligible == 0 {
                         continue;
                     }
-                    let p = self.prob[i];
+                    let p = self.model.boosted_probability(sign, w);
                     let succ = if p >= 1.0 {
                         // unit draws live in [0, 1): certain success,
                         // no draws needed (counter-based streams make
@@ -357,22 +335,12 @@ impl<'g> WideSimulator<'g> {
                     let new_pos = (pu & sign_plane) | (!pu & !sign_plane);
                     positive[v] = (positive[v] & !succ) | (new_pos & succ);
                     active[v] |= succ;
-                    if next_plane[v] == 0 {
-                        next.push(v32);
-                    }
                     next_plane[v] |= succ;
+                    bitmap::insert(&mut next, v);
                 }
-            }
-            for &u in &frontier {
-                frontier_plane[u as usize] = 0;
-            }
-            for &v in &next {
-                frontier_plane[v as usize] = next_plane[v as usize];
-                next_plane[v as usize] = 0;
-            }
-            next.sort_unstable();
+            });
+            std::mem::swap(&mut frontier_plane, &mut next_plane);
             std::mem::swap(&mut frontier, &mut next);
-            next.clear();
         }
 
         Ok(WideBatch {
@@ -396,8 +364,8 @@ fn lane_mask(lanes: usize) -> u64 {
 }
 
 /// Scalar reference replay of **one lane**: an independent
-/// implementation (plain state array, no bitplanes, no flattened CSR)
-/// that must reproduce lane `lane_key` of any wide batch bit-exactly.
+/// implementation (plain state array, sorted frontier lists, its own
+/// edge-index prefix sums; no bitplanes or bitmaps) that must reproduce lane `lane_key` of any wide batch bit-exactly.
 /// Returns the final per-node states and whether the round cap was hit.
 ///
 /// This is the retained oracle behind the wide-determinism suite and
@@ -588,9 +556,30 @@ mod tests {
         assert_eq!(batch.truncated_lanes(), 0);
     }
 
+    /// Runs one batch and checks every lane's states and truncation bit
+    /// against its scalar replay.
+    fn assert_lanes_match_replay(
+        model: &Mfc,
+        g: &SignedDigraph,
+        seeds: &SeedSet,
+        keys: &[u64],
+    ) -> WideBatch {
+        let batch = WideSimulator::new(model, g).run(seeds, keys).unwrap();
+        for (lane, &key) in keys.iter().enumerate() {
+            let (states, truncated) = simulate_wide_reference(model, g, seeds, key).unwrap();
+            assert_eq!(batch.lane_states(lane), states, "lane {lane}");
+            assert_eq!(
+                batch.truncated_lanes() & (1 << lane) != 0,
+                truncated,
+                "lane {lane} truncation"
+            );
+        }
+        batch
+    }
+
     #[test]
     fn every_lane_matches_its_scalar_replay() {
-        let g = g(&[
+        let g5 = g(&[
             (0, 1, Sign::Positive, 0.5),
             (0, 2, Sign::Negative, 0.6),
             (1, 3, Sign::Positive, 0.4),
@@ -600,17 +589,43 @@ mod tests {
         ]);
         let seeds = SeedSet::from_pairs([(NodeId(0), Sign::Positive), (NodeId(2), Sign::Negative)])
             .unwrap();
-        let model = Mfc::new(1.5).unwrap();
         let keys: Vec<u64> = (0..37).map(|t| wide_lane_key(123, t)).collect();
-        let batch = WideSimulator::new(&model, &g).run(&seeds, &keys).unwrap();
-        for (lane, &key) in keys.iter().enumerate() {
-            let (states, truncated) = simulate_wide_reference(&model, &g, &seeds, key).unwrap();
-            assert_eq!(batch.lane_states(lane), states, "lane {lane}");
-            assert_eq!(
-                batch.truncated_lanes() & (1 << lane) != 0,
-                truncated,
-                "lane {lane} truncation"
-            );
+        assert_lanes_match_replay(&Mfc::new(1.5).unwrap(), &g5, &seeds, &keys);
+
+        // Frontiers over two and three bitmap words, seeded on both sides
+        // of each word boundary, run to quiescence and cut off mid-way.
+        for n in [65u32, 129] {
+            let edges: Vec<(u32, u32, Sign, f64)> = (0..n)
+                .flat_map(|i| {
+                    [
+                        (i, (i + 1) % n, Sign::Positive, 0.3),
+                        (i, (i * 37 + 11) % n, Sign::Negative, 0.5),
+                        ((i * 13 + 5) % n, i, Sign::Positive, 0.2),
+                    ]
+                })
+                .filter(|&(a, b, _, _)| a != b)
+                .collect();
+            let g = g(&edges);
+            let seeds =
+                SeedSet::from_pairs([0, 63, 64, 127, 128].into_iter().filter(|&v| v < n).map(
+                    |v| {
+                        (
+                            NodeId(v),
+                            if v % 2 == 0 {
+                                Sign::Positive
+                            } else {
+                                Sign::Negative
+                            },
+                        )
+                    },
+                ))
+                .unwrap();
+            let keys: Vec<u64> = (0..64).map(|t| wide_lane_key(u64::from(n), t)).collect();
+            let model = Mfc::new(2.0).unwrap();
+            let done = assert_lanes_match_replay(&model, &g, &seeds, &keys);
+            assert_eq!(done.truncated_lanes(), 0, "n = {n}");
+            let cut = assert_lanes_match_replay(&model.with_max_rounds(3), &g, &seeds, &keys);
+            assert_ne!(cut.truncated_lanes(), 0, "n = {n}");
         }
     }
 

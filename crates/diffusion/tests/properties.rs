@@ -44,6 +44,52 @@ fn arb_scenario() -> impl Strategy<Value = (SignedDigraph, SeedSet)> {
     })
 }
 
+/// Random (graph, seeds) scenario of up to 200 nodes for the wide
+/// engine, whose frontier bitmap holds 64 nodes per word. Ids 63, 64,
+/// 127, 128 (each side of a word boundary) and `n - 1` each get an edge
+/// in and out, may be seeded, and are chained in ascending order.
+fn arb_wide_scenario() -> impl Strategy<Value = (SignedDigraph, SeedSet)> {
+    (3u32..=200).prop_flat_map(|n| {
+        let edge = (0..n, 0..n, any::<bool>(), 0.0f64..=1.0);
+        let edges = proptest::collection::vec(edge, 0..(3 * n as usize));
+        let seeds = proptest::collection::btree_map(0..n, any::<bool>(), 1..=5);
+        let forced = (0..n, any::<bool>(), 0.0f64..=1.0, any::<bool>());
+        let forced = proptest::collection::vec(forced, 5);
+        (edges, seeds, forced).prop_map(move |(mut edges, mut seeds, forced)| {
+            let mut special: Vec<u32> = [63, 64, 127, 128].into_iter().filter(|&v| v < n).collect();
+            special.push(n - 1);
+            special.dedup();
+            for (&v, &(other, pos, w, seeded)) in special.iter().zip(&forced) {
+                edges.push((v, other, pos, w));
+                edges.push((other, v, !pos, w));
+                if seeded {
+                    seeds.insert(v, pos);
+                }
+            }
+            for (pair, &(_, pos, w, _)) in special.windows(2).zip(&forced) {
+                edges.push((pair[0], pair[1], pos, w));
+            }
+            let sign = |pos| if pos { Sign::Positive } else { Sign::Negative };
+            let edges = edges
+                .into_iter()
+                .filter(|&(a, b, _, _)| a != b)
+                .map(|(a, b, pos, w)| Edge::new(NodeId(a), NodeId(b), sign(pos), w));
+            let g = SignedDigraph::from_edges(n as usize, edges).unwrap();
+            let seeds =
+                SeedSet::from_pairs(seeds.into_iter().map(|(v, pos)| (NodeId(v), sign(pos))));
+            (g, seeds.unwrap())
+        })
+    })
+}
+
+/// A round cap: half the time small enough to truncate cascades whose
+/// frontier spans several bitmap words; otherwise 1,000, a cap only for
+/// flip waves, which boosted weights of probability 1 can send around a
+/// positive cycle indefinitely.
+fn arb_round_cap() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 1usize..10).prop_map(|(small, cap)| if small { cap } else { 1_000 })
+}
+
 /// Invariants every model's cascade must satisfy.
 fn check_common_invariants(g: &SignedDigraph, seeds: &SeedSet, c: &Cascade) {
     // Seeds always end up infected (they may be flipped, never cured).
@@ -176,19 +222,18 @@ proptest! {
     }
 
     // The 64-lane bitplane engine is bit-identical to its retained
-    // scalar reference for every graph, seed set, `alpha`, master seed,
-    // and trial count — including ragged counts not divisible by 64,
-    // which exercise the partial final batch. Its rayon batch
+    // scalar reference for every graph, seed set, `alpha`, round cap,
+    // master seed, and trial count — including ragged counts not
+    // divisible by 64, which exercise the partial final batch, and
+    // frontiers spanning several bitmap words. Its rayon batch
     // distribution merges commutatively, so this holds at any thread
     // count.
     #[test]
     fn wide_estimator_is_bit_identical_to_scalar_reference(
-        ((g, seeds), alpha, runs, master) in
-            (arb_scenario(), 1.0f64..5.0, 1usize..200, any::<u64>())
+        ((g, seeds), alpha, runs, master, max_rounds) in
+            (arb_wide_scenario(), 1.0f64..=5.0, 1usize..200, any::<u64>(), arb_round_cap())
     ) {
-        // Cap rounds: boosted weights can reach probability 1, where
-        // flip waves may oscillate around positive cycles indefinitely.
-        let model = Mfc::new(alpha).unwrap().with_max_rounds(1_000);
+        let model = Mfc::new(alpha).unwrap().with_max_rounds(max_rounds);
         let wide = par_estimate_infection_probabilities_wide(
             &model, &g, &seeds, runs, master).unwrap();
         let reference = estimate_infection_probabilities_wide_reference(

@@ -267,6 +267,25 @@ impl SignedDigraph {
         })
     }
 
+    /// `u`'s out-edges as columns `(first, dst, sign, weight)`, sorted by
+    /// destination: edge `j` goes to `dst[j]` and is edge `first + j` of
+    /// [`edges`](SignedDigraph::edges). Panics if `u` is out of bounds.
+    ///
+    /// ```
+    /// use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
+    /// let (a, b) = (NodeId(0), NodeId(1));
+    /// let g = SignedDigraph::from_edges(0, [
+    ///     Edge::new(a, b, Sign::Positive, 0.5),
+    ///     Edge::new(b, a, Sign::Negative, 1.0),
+    /// ]).unwrap();
+    /// assert_eq!(g.out_columns(b), (1, &[a][..], &[Sign::Negative][..], &[1.0][..]));
+    /// ```
+    pub fn out_columns(&self, u: NodeId) -> (usize, &[NodeId], &[Sign], &[f64]) {
+        let r = self.out_range(u);
+        let (dst, sign) = (&self.out_dst[r.clone()], &self.out_sign[r.clone()]);
+        (r.start, dst, sign, &self.out_weight[r])
+    }
+
     /// Edges entering `u`, sorted by source.
     ///
     /// # Panics

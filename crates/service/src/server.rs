@@ -79,6 +79,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -1244,7 +1245,7 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                     shared.request_ns.record_duration(received.elapsed());
                     continue;
                 }
-                let line = match work {
+                let line = guarded(id, || match work {
                     Work::Rid {
                         line,
                         snapshot,
@@ -1271,7 +1272,8 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                         }
                     }
                     _ => unreachable!("outer match narrowed to data-plane work"),
-                };
+                })
+                .unwrap_or_else(|internal| internal);
                 conn.reply(&line, shared);
                 shared.request_ns.record_duration(received.elapsed());
             }
@@ -1293,7 +1295,18 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
                 conn.reply(&ok_line(id, result), shared);
             }
             Work::WatchDelta { delta } => {
-                serve_watch_delta(id, &delta, &conn, &mut sessions, shared);
+                let line = guarded(id, || {
+                    serve_watch_delta(id, &delta, conn.id, &mut sessions, shared)
+                })
+                .unwrap_or_else(|line| {
+                    // The panic may have left the session half
+                    // updated: drop it and its admission slot.
+                    if sessions.remove(&conn.id).is_some() {
+                        shared.watch_active.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    line
+                });
+                conn.reply(&line, shared);
             }
             Work::WatchClose => {
                 let line = match sessions.remove(&conn.id) {
@@ -1337,6 +1350,21 @@ fn worker_loop(shard: &Arc<Shard>, shared: &Arc<Shared>) {
     shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
 }
 
+/// Runs one job's computation behind the worker's panic guard. A panic
+/// is answered `internal` under the request's id (the `Err` line), so
+/// the worker lives on to serve the jobs queued behind it and to exit
+/// at shutdown; the caller drops any state the panic may have left half
+/// applied.
+fn guarded(id: u64, compute: impl FnOnce() -> String) -> Result<String, String> {
+    panic::catch_unwind(AssertUnwindSafe(compute)).map_err(|_| {
+        let error = WireError::new(
+            ErrorKind::Internal,
+            "the request panicked in its shard worker",
+        );
+        error_line(Some(id), &error)
+    })
+}
+
 /// Answers one decoded `rid` job on its shard's worker, filing the
 /// answer in the result cache under `key`: the snapshot span's hash and
 /// the config key.
@@ -1372,32 +1400,30 @@ fn serve_rid(
     }
 }
 
-/// Applies one delta to this connection's pinned session and answers it
-/// (full `RidResult` when due under the session's cadence, cheap ack
-/// otherwise). Runs on the shard worker; the io thread has already
-/// enforced the session deadline.
+/// Applies one delta to connection `conn`'s pinned session and returns
+/// its answer (full `RidResult` when due under the session's cadence,
+/// cheap ack otherwise). Runs on the shard worker; the io thread has
+/// already enforced the session deadline.
 fn serve_watch_delta(
     id: u64,
     delta: &RidDelta,
-    conn: &Arc<Conn>,
+    conn: u64,
     sessions: &mut HashMap<u64, WatchSession>,
     shared: &Arc<Shared>,
-) {
-    let Some(ws) = sessions.get_mut(&conn.id) else {
+) -> String {
+    let Some(ws) = sessions.get_mut(&conn) else {
         let error = WireError::new(
             ErrorKind::BadRequest,
             "no watch session open on this connection; send watch_open first",
         );
-        conn.reply(&error_line(Some(id), &error), shared);
-        return;
+        return error_line(Some(id), &error);
     };
     let started = Stopwatch::start();
     if let Err(error) = ws.session.apply(delta) {
         // Validation rejected the delta before any mutation: the
         // session state is intact and the connection stays usable.
         let error = WireError::new(ErrorKind::InvalidDelta, error.to_string());
-        conn.reply(&error_line(Some(id), &error), shared);
-        return;
+        return error_line(Some(id), &error);
     }
     let deltas = ws.session.deltas_applied();
     let line = if deltas % ws.answer_every == 0 {
@@ -1434,12 +1460,23 @@ fn serve_watch_delta(
         )
     };
     shared.watch_delta_ns.record_duration(started.elapsed());
-    conn.reply(&line, shared);
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_is_answered_internal_under_its_id() {
+        assert_eq!(guarded(7, || "served".to_owned()), Ok("served".to_owned()));
+        let line = guarded(7, || panic!("injected fault")).unwrap_err();
+        let reply = Value::parse(&line).unwrap();
+        assert_eq!(reply.get("id").and_then(Value::as_f64), Some(7.0));
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(false)));
+        let kind = reply.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Value::as_str), Some("internal"), "{line}");
+    }
 
     #[test]
     fn rendezvous_is_stable_and_in_range() {
