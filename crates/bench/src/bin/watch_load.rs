@@ -6,9 +6,11 @@
 //! their ratio (`speedup_amortized`), a `bit_identical` flag that is 1.0
 //! only if every incremental answer matched its cold reference
 //! byte-for-byte, and two exact counts of how the tail was answered:
-//! `stream_fallbacks` (full recomputes after the warm-up answer) and
-//! `stream_extractions` (forest extractions the tail's incremental
-//! answers ran) — the artifact `xtask bench-check` gates on.
+//! `stream_fallbacks` (tail answers in which every component was dirty)
+//! and `stream_extractions` (forest extractions the tail's incremental
+//! answers ran) — the artifact `xtask bench-check` gates on. The seeded
+//! session's first answer, in which every component is dirty, is timed
+//! on its own as `warmup_answer_ns` (recorded, not gated).
 //!
 //! Options:
 //!
@@ -147,14 +149,18 @@ fn main() {
 
     let t0 = Instant::now();
     let seed_deltas = seed_session(&mut session, &opts, &mut rng);
-    let _ = session.answer(); // warm the per-component solutions
     let seed_ns = t0.elapsed().as_nanos() as f64;
+    let t0 = Instant::now();
+    let _ = session.answer(); // warm the per-component solutions
+    let warmup_answer_ns = t0.elapsed().as_nanos() as f64;
     println!(
-        "seeded session: {} nodes / {} edges / {} components in {:.2}s",
+        "seeded session: {} nodes / {} edges / {} components in {:.2}s, \
+         warm-up answer {:.2}ms",
         session.node_count(),
         session.edge_count(),
         session.component_count(),
-        seed_ns / 1e9
+        seed_ns / 1e9,
+        warmup_answer_ns / 1e6
     );
 
     let mut incremental_ns = Vec::with_capacity(opts.deltas);
@@ -201,7 +207,7 @@ fn main() {
     let speedup = cold_mean / incr_mean;
     println!(
         "stream: {} deltas, amortized incremental {:.3}ms vs cold {:.3}ms -> {:.1}x, \
-         bit_identical={}, fallbacks={}, extractions={} for {} dirty components",
+         bit_identical={}, stream_fallbacks={}, extractions={} for {} dirty components",
         opts.deltas,
         incr_mean / 1e6,
         cold_mean / 1e6,
@@ -227,10 +233,10 @@ fn main() {
             ("incremental_mean_ns".into(), incr_mean),
             ("cold_mean_ns".into(), cold_mean),
             ("dirty_components_total".into(), dirty_total as f64),
-            ("fallbacks".into(), session.fallbacks() as f64),
             ("stream_fallbacks".into(), stream_fallbacks as f64),
             ("stream_extractions".into(), stream_extractions as f64),
             ("seed_ns".into(), seed_ns),
+            ("warmup_answer_ns".into(), warmup_answer_ns),
         ],
         TimingStats::from_samples(&incremental_ns),
     );

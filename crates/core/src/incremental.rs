@@ -8,9 +8,8 @@
 //! tracks which weakly-connected components each delta dirties (a
 //! growable [`isomit_forest::UnionFind`] handles merges), and on
 //! [`answer`](IncrementalRid::answer) re-runs [`Rid`]'s own extract and
-//! query stages on **only the dirty components**, each as its own
-//! sub-snapshot, or on the whole snapshot once more than half of its
-//! nodes are dirty.
+//! query stages once, on one sub-snapshot holding **only the dirty
+//! components** — the whole snapshot when every component is dirty.
 //!
 //! The headline contract, pinned by the `incremental` tier-1 suite and
 //! golden fixtures: replaying any valid delta sequence yields a
@@ -18,13 +17,13 @@
 //! [`Rid`] run on the final snapshot.
 //!
 //! Why per-component answers compose bit-identically: the global CSR
-//! stores edges sorted by `(src, dst)`, so a component's sub-snapshot
-//! (members sorted by original id) is a monotone relabeling of the
-//! global snapshot restricted to that component — the branching sees
-//! the same arcs in the same order, and the per-tree DP sees the same
-//! local structure. Solving and folding the trees is then the very code
-//! [`Rid::query_stage`] runs: the same per-tree solve, and the same fold
-//! over trees in ascending root order.
+//! stores edges sorted by `(src, dst)`, so the sub-snapshot of a union
+//! of whole components (members sorted by original id) is a monotone
+//! relabeling of the global snapshot restricted to those components —
+//! the branching sees the same arcs in the same order, and the per-tree
+//! DP sees the same local structure. Solving and folding the trees is
+//! then the very code [`Rid::query_stage`] runs: the same per-tree
+//! solve, and the same fold over trees in ascending root order.
 
 use crate::codec::RidResult;
 use crate::error::RidError;
@@ -215,18 +214,18 @@ impl std::error::Error for DeltaError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnswerOutcome {
     /// Components whose cached solution was stale and had to be
-    /// recomputed (after merging, a merged component counts once).
+    /// recomputed (after merging, a merged component counts once). The
+    /// answer extracts them together, as one sub-snapshot.
     pub dirty_components: usize,
-    /// `true` when the answer fell back to a full cold recompute
-    /// because the deltas dirtied too much of the snapshot.
+    /// `true` when every component was dirty, so the answer extracted
+    /// the whole snapshot.
     pub full_recompute: bool,
 }
 
 /// One weakly-connected component of the session.
 #[derive(Debug, Clone, Default)]
 struct ComponentState {
-    /// Member slots, sorted by original id (the component-local
-    /// numbering: local id = position in this list).
+    /// Member slots, in no particular order.
     members: Vec<usize>,
     /// Per-tree outcomes of the last solve, in original ids; `None`
     /// while the component is dirty.
@@ -269,7 +268,6 @@ struct ComponentState {
 #[derive(Debug)]
 pub struct IncrementalRid {
     rid: Rid,
-    config: RidConfig,
     /// Original id → session slot.
     index_of: BTreeMap<NodeId, usize>,
     /// Session slot → original id (slots are handed out in infection
@@ -279,18 +277,14 @@ pub struct IncrementalRid {
     states: Vec<NodeState>,
     /// Session slot → out-links `(dst slot, sign, weight)`.
     out_edges: Vec<Vec<(usize, Sign, f64)>>,
-    /// Scratch of `snapshot_of` for component sub-snapshots: session
-    /// slot → position in the member list being materialized. Entries
-    /// of other slots are stale.
+    /// Reused by `snapshot_of` for the dirty sub-snapshot: session slot
+    /// → position in the slot list being materialized. Entries of other
+    /// slots are stale.
     local_of: Vec<usize>,
     uf: UnionFind,
     /// Component root slot (union-find representative) → state.
     components: BTreeMap<usize, ComponentState>,
     deltas_applied: u64,
-    fallbacks: u64,
-    /// Snapshot + artifacts of the last full-recompute fallback, kept
-    /// until [`take_fallback_artifacts`](Self::take_fallback_artifacts).
-    pending_artifacts: Option<(InfectedNetwork, ForestArtifacts)>,
 }
 
 impl IncrementalRid {
@@ -303,7 +297,6 @@ impl IncrementalRid {
     pub fn new(config: RidConfig) -> Result<Self, RidError> {
         Ok(IncrementalRid {
             rid: Rid::from_config(config)?,
-            config,
             index_of: BTreeMap::new(),
             originals: Vec::new(),
             states: Vec::new(),
@@ -312,14 +305,12 @@ impl IncrementalRid {
             uf: UnionFind::new(0),
             components: BTreeMap::new(),
             deltas_applied: 0,
-            fallbacks: 0,
-            pending_artifacts: None,
         })
     }
 
     /// The configuration the session answers under.
     pub fn config(&self) -> RidConfig {
-        self.config
+        self.rid.config()
     }
 
     /// Number of infected nodes observed so far.
@@ -340,11 +331,6 @@ impl IncrementalRid {
     /// Total deltas successfully applied.
     pub fn deltas_applied(&self) -> u64 {
         self.deltas_applied
-    }
-
-    /// Total answers that fell back to a full cold recompute.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
     }
 
     /// Applies one delta, dirtying exactly the affected components.
@@ -427,10 +413,16 @@ impl IncrementalRid {
                         .components
                         .remove(&rb)
                         .expect("every union-find root has a component entry");
+                    let (mut members, smaller) = if a.members.len() >= b.members.len() {
+                        (a.members, b.members)
+                    } else {
+                        (b.members, a.members)
+                    };
+                    members.extend(smaller);
                     self.components.insert(
                         merged_root,
                         ComponentState {
-                            members: merge_by_original(&self.originals, a.members, b.members),
+                            members,
                             solved: None,
                         },
                     );
@@ -482,94 +474,57 @@ impl IncrementalRid {
     }
 
     /// [`answer`](IncrementalRid::answer), plus what the call actually
-    /// cost: how many components were recomputed and whether the session
-    /// fell back to a cold recompute.
+    /// cost: how many components were recomputed and whether that was
+    /// every component.
+    ///
+    /// The dirty components are extracted and solved together, as one
+    /// sub-snapshot, so an answer runs [`Rid::extract_stage`] at most
+    /// once however many components its deltas dirtied.
     pub fn answer_detailed(&mut self) -> (RidResult, AnswerOutcome) {
-        let mut outcome = AnswerOutcome::default();
-        let dirty_roots: Vec<usize> = self
-            .components
-            .iter()
-            .filter(|(_, c)| c.solved.is_none())
-            .map(|(&root, _)| root)
-            .collect();
-        outcome.dirty_components = dirty_roots.len();
-        let dirty_members: usize = dirty_roots
-            .iter()
-            .map(|root| {
+        let mut slots = Vec::new();
+        let mut dirty_components = 0;
+        for comp in self.components.values_mut() {
+            if comp.solved.is_none() {
+                dirty_components += 1;
+                slots.extend_from_slice(&comp.members);
+                comp.solved = Some(Vec::new());
+            }
+        }
+        let outcome = AnswerOutcome {
+            dirty_components,
+            full_recompute: dirty_components > 0 && dirty_components == self.components.len(),
+        };
+        if !slots.is_empty() {
+            let originals = &self.originals;
+            slots.sort_unstable_by_key(|&slot| {
+                *originals
+                    .get(slot)
+                    .expect("member slots index the originals array")
+            });
+            let mut local_of = std::mem::take(&mut self.local_of);
+            let sub = self.snapshot_of(&slots, &mut local_of);
+            self.local_of = local_of;
+            for solved in self.rid.solve_trees(&sub, &self.rid.extract_stage(&sub)) {
+                let root_slot = *self
+                    .index_of
+                    .get(&solved.root)
+                    .expect("tree roots are infected session nodes");
                 self.components
-                    .get(root)
-                    .expect("dirty roots are live component roots")
-                    .members
-                    .len()
-            })
-            .sum();
-        // Safe fallback: when the deltas dirtied most of the snapshot,
-        // per-component bookkeeping only adds overhead over the
-        // optimized whole-snapshot extraction — recompute cold.
-        if !self.originals.is_empty() && 2 * dirty_members > self.originals.len() {
-            outcome.full_recompute = true;
-            self.full_recompute();
-        } else {
-            for root in dirty_roots {
-                self.solve_component(root);
+                    .get_mut(&self.uf.find(root_slot))
+                    .and_then(|comp| comp.solved.as_mut())
+                    .expect("every extracted tree lies in a dirty component")
+                    .push(solved);
             }
         }
         (self.assemble(), outcome)
     }
 
-    /// Takes the snapshot and forest artifacts produced by the most
-    /// recent full-recompute fallback, if one has happened since the
-    /// last take. A library caller can adopt them into a
-    /// `RidEngine`'s artifact cache so a later one-shot `rid` of the
-    /// same snapshot is a cache hit. The daemon takes and drops them:
-    /// keying them re-encodes the whole snapshot, which costs more than
-    /// the rarely hit entry saves.
+    /// Always `None`: an answer keeps neither the snapshot nor the
+    /// artifacts it extracted. This stays only because the daemon
+    /// benchmark's in-process replay (`daemonbench/src/replay.rs`)
+    /// still calls it, and goes with that replay.
     pub fn take_fallback_artifacts(&mut self) -> Option<(InfectedNetwork, ForestArtifacts)> {
-        self.pending_artifacts.take()
-    }
-
-    /// Cold whole-snapshot recompute; repopulates every component's
-    /// per-tree outcomes (original-id based, so membership-independent),
-    /// which marks them all clean.
-    fn full_recompute(&mut self) {
-        self.fallbacks += 1;
-        let snapshot = self.snapshot();
-        let artifacts = self.rid.extract_stage(&snapshot);
-        let mut per_component: BTreeMap<usize, Vec<SolvedTree>> = BTreeMap::new();
-        for solved in self.rid.solve_trees(&snapshot, &artifacts) {
-            let root_slot = *self
-                .index_of
-                .get(&solved.root)
-                .expect("tree roots are infected session nodes");
-            let comp_root = self.uf.find(root_slot);
-            per_component.entry(comp_root).or_default().push(solved);
-        }
-        for (&root, comp) in &mut self.components {
-            comp.solved = Some(per_component.remove(&root).unwrap_or_default());
-        }
-        debug_assert!(
-            per_component.is_empty(),
-            "every extracted tree belongs to a tracked component"
-        );
-        self.pending_artifacts = Some((snapshot, artifacts));
-    }
-
-    /// Recomputes one dirty component: [`Rid::extract_stage`] and the
-    /// query-stage solve on its own sub-snapshot.
-    fn solve_component(&mut self, root: usize) {
-        let mut local_of = std::mem::take(&mut self.local_of);
-        let members = &self
-            .components
-            .get(&root)
-            .expect("solve_component called with a live component root")
-            .members;
-        let sub = self.snapshot_of(members, &mut local_of);
-        self.local_of = local_of;
-        let solved = self.rid.solve_trees(&sub, &self.rid.extract_stage(&sub));
-        self.components
-            .get_mut(&root)
-            .expect("solve_component called with a live component root")
-            .solved = Some(solved);
+        None
     }
 
     /// Assembles the global [`RidResult`] from the (now all-clean)
@@ -590,7 +545,7 @@ impl IncrementalRid {
             .collect();
         trees.sort_by_key(|t| t.root);
         RidResult {
-            config: self.config,
+            config: self.rid.config(),
             detection: fold(trees, self.components.len()),
         }
     }
@@ -649,30 +604,6 @@ impl IncrementalRid {
         InfectedNetwork::from_subgraph_parts(graph, states, original_ids)
             .expect("session state forms a valid snapshot")
     }
-}
-
-/// Merges two member lists, keeping them sorted by original id.
-fn merge_by_original(originals: &[NodeId], a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
-    let key = |slot: usize| {
-        *originals
-            .get(slot)
-            .expect("member slots index the originals array")
-    };
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    while let (Some(&x), Some(&y)) = (ia.peek(), ib.peek()) {
-        if key(x) < key(y) {
-            merged.push(x);
-            ia.next();
-        } else {
-            merged.push(y);
-            ib.next();
-        }
-    }
-    merged.extend(ia);
-    merged.extend(ib);
-    merged
 }
 
 #[cfg(test)]
@@ -879,7 +810,7 @@ mod tests {
         s.apply(&edge(0, 1, Sign::Positive, 0.9)).unwrap();
         s.apply(&edge(1, 2, Sign::Positive, 0.9)).unwrap();
         s.apply(&edge(3, 1, Sign::Positive, 0.8)).unwrap();
-        s.answer(); // All-dirty: falls back.
+        s.answer(); // All dirty: extracts the whole snapshot.
         s.apply(&edge(0, 3, Sign::Positive, 0.2)).unwrap();
         s.answer(); // Solves the four-node component on its own.
         let before = extraction_run_count();
@@ -903,24 +834,49 @@ mod tests {
     }
 
     #[test]
-    fn massive_dirtying_falls_back_to_cold_recompute() {
+    fn several_dirty_components_extract_once() {
+        let mut s = session();
+        for node in 0..20 {
+            s.apply(&infect(node, NodeState::Positive)).unwrap();
+        }
+        s.answer();
+        // Three merges leave 6 of 20 nodes dirty, in three components.
+        for (src, dst) in [(0, 1), (8, 9), (16, 17)] {
+            s.apply(&edge(src, dst, Sign::Positive, 0.5)).unwrap();
+        }
+        let before = extraction_run_count();
+        let (result, outcome) = s.answer_detailed();
+        assert_eq!(
+            extraction_run_count() - before,
+            1,
+            "the dirty components are extracted together"
+        );
+        assert_eq!(outcome.dirty_components, 3);
+        assert!(!outcome.full_recompute);
+        let cold = Rid::from_config(s.config()).unwrap().detect(&s.snapshot());
+        assert_eq!(result.detection, cold);
+        assert_eq!(
+            result.detection.objective.to_bits(),
+            cold.objective.to_bits()
+        );
+    }
+
+    #[test]
+    fn all_dirty_answer_extracts_the_whole_snapshot_once() {
         let mut s = session();
         for node in 0..8 {
             s.apply(&infect(node, NodeState::Positive)).unwrap();
         }
+        let before = extraction_run_count();
         let (result, outcome) = s.answer_detailed();
-        assert!(outcome.full_recompute, "all-dirty session must fall back");
-        assert_eq!(s.fallbacks(), 1);
-        let (snapshot, artifacts) = s
-            .take_fallback_artifacts()
-            .expect("fallback leaves artifacts to adopt");
-        assert_eq!(snapshot.node_count(), 8);
-        assert_eq!(artifacts.trees().len(), 8);
-        assert!(s.take_fallback_artifacts().is_none(), "take is one-shot");
-        let cold = Rid::from_config(s.config()).unwrap().detect(&snapshot);
+        assert_eq!(extraction_run_count() - before, 1);
+        assert_eq!(outcome.dirty_components, 8);
+        assert!(outcome.full_recompute, "every component was dirty");
+        assert!(s.take_fallback_artifacts().is_none());
+        let cold = Rid::from_config(s.config()).unwrap().detect(&s.snapshot());
         assert_eq!(result.detection, cold);
-        // The fallback repopulated per-component caches: the next
-        // answer after a small delta is incremental again.
+        // The answer filled every component's cache: the next answer
+        // after a small delta recomputes only what it dirtied.
         s.apply(&edge(0, 1, Sign::Positive, 0.5)).unwrap();
         let (result, outcome) = s.answer_detailed();
         assert!(!outcome.full_recompute);

@@ -140,9 +140,8 @@ impl Rid {
     /// Runs the query-stage DP on every tree of `artifacts` and
     /// translates each outcome to original ids, in extraction order
     /// (ascending root snapshot id). The incremental session solves its
-    /// component sub-snapshots and its fallback snapshots through here,
-    /// so it solves a tree exactly as [`query_stage`](Rid::query_stage)
-    /// does.
+    /// dirty sub-snapshot through here, so it solves a tree exactly as
+    /// [`query_stage`](Rid::query_stage) does.
     pub(crate) fn solve_trees(
         &self,
         snapshot: &InfectedNetwork,

@@ -12,11 +12,9 @@
 //! to a cold one (tested below).
 //!
 //! [`RidEngine::adopt_artifacts`] files artifacts computed outside the
-//! engine, such as a watch session's full-recompute fallback. It is for
-//! library callers: the daemon drops watch fallbacks instead, because
-//! keying one re-encodes the whole snapshot, and the entry would live
-//! on the session's shard rather than the one a `rid` of that snapshot
-//! is routed to.
+//! engine by [`Rid::extract_stage`]. It is for library callers: the
+//! daemon adopts nothing, because keying an entry re-encodes the whole
+//! snapshot.
 
 use crate::cache::{CacheMetrics, LruCache};
 use crate::fingerprint::snapshot_fingerprint;
@@ -320,18 +318,19 @@ impl RidEngine {
         )
     }
 
-    /// Adopts forest artifacts computed outside the engine — a watch
-    /// session's full-recompute fallback — into the artifact cache, so
-    /// a later `rid` query on the same snapshot is a warm hit. The key
-    /// is [`snapshot_fingerprint`], which re-encodes the snapshot; the
+    /// Adopts forest artifacts computed outside the engine by
+    /// [`Rid::extract_stage`] into the artifact cache, so a later `rid`
+    /// query on the same snapshot is a warm hit. The key is
+    /// [`snapshot_fingerprint`], which re-encodes the snapshot; the
     /// daemon does not call this (see the module docs).
     ///
-    /// `previous` is the key returned by the session's last adoption:
+    /// `previous` is the key returned by the caller's last adoption:
     /// the superseded entry is removed in the same lock acquisition
     /// (counted under `cache_superseded`, not as an eviction), so a
-    /// long watch session keeps at most one resident cache entry
-    /// instead of crowding out unrelated snapshots. Returns the key the
-    /// caller should pass back on its next adoption.
+    /// caller that adopts each snapshot of a growing outbreak keeps at
+    /// most one resident cache entry instead of crowding out unrelated
+    /// snapshots. Returns the key the caller should pass back on its
+    /// next adoption.
     pub fn adopt_artifacts(
         &self,
         snapshot: &InfectedNetwork,
@@ -563,7 +562,7 @@ mod tests {
         rid(&engine, &b, None).unwrap();
         assert_eq!(engine.stats().cache_entries, 2);
 
-        // A long watch session adopts one fallback after another; each
+        // A growing outbreak adopts one snapshot after another; each
         // adoption supersedes the previous session entry in place.
         let config = engine.default_config();
         let mut previous = None;
@@ -586,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn adopted_fallback_makes_the_final_snapshot_a_warm_hit() {
+    fn adopted_artifacts_make_the_final_snapshot_a_warm_hit() {
         use isomit_core::{IncrementalRid, RidDelta};
 
         let engine = engine(8);
@@ -610,15 +609,13 @@ mod tests {
                 })
                 .unwrap();
         }
-        // An all-dirty session answers via the cold fallback, stashing
-        // adoptable artifacts.
-        let (answer, outcome) = session.answer_detailed();
-        assert!(outcome.full_recompute);
-        let (snapshot, artifacts) = session.take_fallback_artifacts().unwrap();
+        let answer = session.answer();
+        let snapshot = session.snapshot();
+        let artifacts = Rid::from_config(config).unwrap().extract_stage(&snapshot);
         engine.adopt_artifacts(&snapshot, &config, artifacts, None);
 
         let misses_before = engine.stats().cache_misses;
-        let served = rid(&engine, &session.snapshot(), None).unwrap();
+        let served = rid(&engine, &snapshot, None).unwrap();
         assert_eq!(served, answer);
         assert_eq!(
             engine.stats().cache_misses,

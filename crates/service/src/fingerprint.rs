@@ -15,8 +15,7 @@
 //! decoded snapshot and no request bytes: library callers of the
 //! engine (`RidEngine::rid`, and `RidEngine::adopt_artifacts`, which
 //! hashes the snapshot it adopts) and clients that ask by fingerprint.
-//! The daemon never calls it: it does not adopt watch-session
-//! fallbacks (DESIGN.md §10).
+//! The daemon never calls it: it adopts no artifacts (DESIGN.md §10).
 
 use isomit_diffusion::InfectedNetwork;
 

@@ -357,8 +357,8 @@ struct Shared {
     watch_delta_ns: Histogram,
     /// Components watch answers recomputed, summed across answers.
     watch_dirty_components: Counter,
-    /// Watch answers that fell back to a full cold recompute.
-    watch_fallbacks: Counter,
+    /// Watch answers in which every component was dirty.
+    watch_full_recomputes: Counter,
     /// `watch_open` requests rejected by the admission cap.
     watch_shed: Counter,
     /// Largest-minus-smallest per-shard request share, in percent,
@@ -463,7 +463,7 @@ impl Server {
             max_watch: config.max_watch_sessions,
             watch_delta_ns: primary.histogram(names::WATCH_DELTA_NS),
             watch_dirty_components: primary.counter(names::WATCH_DIRTY_COMPONENTS),
-            watch_fallbacks: primary.counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS),
+            watch_full_recomputes: primary.counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS),
             watch_shed: primary.counter(names::WATCH_SESSIONS_SHED),
             imbalance_pct: primary.gauge(names::SERVICE_SHARD_IMBALANCE_PCT),
             outbox_bytes_max: primary.gauge(names::SERVICE_OUTBOX_BYTES_MAX),
@@ -1432,14 +1432,8 @@ fn serve_watch_delta(
             .watch_dirty_components
             .add(outcome.dirty_components as u64);
         if outcome.full_recompute {
-            shared.watch_fallbacks.inc();
+            shared.watch_full_recomputes.inc();
         }
-        // A fallback leaves its snapshot and artifacts for adoption into
-        // an artifact cache. The daemon drops them: keying them costs a
-        // re-encode of the whole snapshot, and a `rid` of that snapshot
-        // is routed by its own hash, usually to another shard
-        // (DESIGN.md §10).
-        drop(ws.session.take_fallback_artifacts());
         let mut payload = result.to_json_value();
         if let Value::Object(fields) = &mut payload {
             fields.push(("deltas".into(), Value::Number(deltas as f64)));

@@ -455,8 +455,8 @@ fn overload_yields_structured_errors_not_hangs() {
 }
 
 /// A deterministic watch-session delta script: three components that
-/// grow, merge and flip — enough to exercise per-component and
-/// fallback answers.
+/// grow, merge and flip — enough to exercise answers with some and
+/// with every component dirty.
 fn watch_script() -> Vec<RidDelta> {
     let mut deltas = Vec::new();
     for i in 0..10u32 {
@@ -699,12 +699,12 @@ fn stats_expose_watch_telemetry() {
         "{} must be registered",
         names::WATCH_DIRTY_COMPONENTS
     );
-    // The very first answer (one node, all dirty) is always a fallback.
+    // The very first answer (one node) has every component dirty.
     assert!(
         telemetry
             .counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS)
             .is_some_and(|n| n >= 1),
-        "{} must count the initial cold answer",
+        "{} must count the first, all-dirty answer",
         names::WATCH_FULL_RECOMPUTE_FALLBACKS
     );
 
@@ -742,13 +742,13 @@ fn a_watch_session_leaves_the_artifact_caches_alone() {
         );
     }
     client.watch_close().expect("watch_close");
-    let fallbacks = client
+    let full_recomputes = client
         .telemetry()
         .expect("telemetry")
         .counter(names::WATCH_FULL_RECOMPUTE_FALLBACKS);
     assert!(
-        fallbacks.is_some_and(|n| n >= 1),
-        "the first answer (one node, all dirty) falls back: {fallbacks:?}"
+        full_recomputes.is_some_and(|n| n >= 1),
+        "the first answer (one node) has every component dirty: {full_recomputes:?}"
     );
 
     let stats = client.stats().expect("stats");

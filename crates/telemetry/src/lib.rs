@@ -103,14 +103,15 @@ pub mod names {
     /// Components a watch answer had to recompute (counter, summed
     /// across answers).
     pub const WATCH_DIRTY_COMPONENTS: &str = "watch.dirty_components";
-    /// Watch answers that fell back to a full cold recompute (counter).
+    /// Watch answers in which every component was dirty, so the answer
+    /// extracted the whole snapshot (counter).
     pub const WATCH_FULL_RECOMPUTE_FALLBACKS: &str = "watch.full_recompute_fallbacks";
     /// Watch sessions rejected by the admission cap (counter).
     pub const WATCH_SESSIONS_SHED: &str = "watch.sessions_shed";
     /// Artifact-cache entries evicted because a newer snapshot of the
     /// same watch session superseded them (counter). Only library
-    /// callers of `RidEngine::adopt_artifacts` move it; the daemon does
-    /// not adopt watch fallbacks.
+    /// callers of `RidEngine::adopt_artifacts` move it; the daemon
+    /// adopts no artifacts.
     pub const SERVICE_CACHE_SUPERSEDED: &str = "service.cache.superseded";
     /// Serialized-result cache hits on the by-fingerprint fast path
     /// (counter).

@@ -156,16 +156,16 @@ fn assert_bit_identical(incremental: &RidResult, cold: &RidResult, context: &str
 fn prefix_consistency_every_delta_answers_like_cold() {
     let deltas = script(4242, 24, 48, 12);
     let mut session = IncrementalRid::new(RidConfig::default()).expect("valid default config");
-    let mut fell_back = false;
+    let mut full_recompute = false;
     for (i, delta) in deltas.iter().enumerate() {
         session.apply(delta).expect("script deltas are valid");
         let (answer, outcome) = session.answer_detailed();
-        fell_back |= outcome.full_recompute;
+        full_recompute |= outcome.full_recompute;
         assert_bit_identical(&answer, &cold_answer(&session), &format!("prefix {i}"));
     }
     assert!(
-        fell_back,
-        "the very first answer on an all-dirty session must fall back"
+        full_recompute,
+        "the very first answer has every component dirty"
     );
     assert_eq!(session.deltas_applied(), deltas.len() as u64);
 }
@@ -219,21 +219,26 @@ proptest! {
     }
 
     // Answering mid-stream never perturbs later answers: a session
-    // answered after every delta ends bit-identical to one answered
-    // only once at the end.
+    // answered after every `every`-th delta ends bit-identical to one
+    // answered only once at the end, and each intermediate answer —
+    // clean components beside several dirty ones — matches cold.
     #[test]
     fn intermediate_answers_do_not_perturb_the_final_one(
         seed in 0u64..1_000,
         nodes in 6usize..24,
         tail in 1usize..12,
+        every in 1usize..8,
     ) {
         let deltas = script(seed, nodes, nodes, tail);
         let config = RidConfig::default();
         let mut chatty = IncrementalRid::new(config).expect("valid config");
         let mut quiet = IncrementalRid::new(config).expect("valid config");
-        for delta in &deltas {
+        for (i, delta) in deltas.iter().enumerate() {
             chatty.apply(delta).expect("script deltas are valid");
-            let _ = chatty.answer();
+            if (i + 1) % every == 0 {
+                let context = format!("seed {seed} delta {i}");
+                assert_bit_identical(&chatty.answer(), &cold_answer(&chatty), &context);
+            }
             quiet.apply(delta).expect("script deltas are valid");
         }
         prop_assert_eq!(
