@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Hostile and malformed request lines over a raw socket to a running
 isomit-serve daemon, checking that each gets its structured reply and
-that the daemon lives on, and that a second client that never reads its
-replies stalls no one else.
+that the daemon lives on, that a pipelined watch session is answered in
+request order, and that a second client that never reads its replies
+stalls no one else.
 
 Usage: python3 .github/scripts/raw_probe.py HOST:PORT SNAPSHOT.json
 
@@ -71,6 +72,28 @@ def main():
     # Every reply echoes id 2^53 as an integer.
     check(ask('{"id":9007199254740992,"type":"health"}'),
           '{"id":9007199254740992,')
+
+    # A watch_close without a session is refused, and the connection
+    # lives on.
+    check(ask('{"id":10,"type":"watch_close"}'), '{"id":10,', "bad_request")
+    check(ask('{"id":3,"type":"health"}'), '"ok":true')
+
+    # A session pipelined in one write is answered in request order:
+    # daemonbench's watch_stream pipelines a watch_close and the next
+    # watch_open and relies on it.
+    delta = ('{"id":%d,"type":"watch_delta",'
+             '"delta":{"op":"infect","node":%d,"state":"+"}}')
+    stream.write("\n".join(
+        ['{"id":11,"type":"watch_open","answer_every":2}']
+        + [delta % (12 + node, node) for node in range(3)]
+        + ['{"id":15,"type":"watch_close"}']) + "\n")
+    stream.flush()
+    for needles in (('{"id":11,', '"opened":true'),
+                    ('{"id":12,', '"acked":true'),
+                    ('{"id":13,', '"detection"'),
+                    ('{"id":14,', '"acked":true'),
+                    ('{"id":15,', '"closed":true,"deltas":3')):
+        check(stream.readline(), *needles)
 
     # A second client writes `health` lines and never reads a reply,
     # until the daemon stops reading it and a send times out. Meanwhile,

@@ -140,14 +140,14 @@ impl TreeDp {
         assert!(alpha >= 1.0, "alpha {alpha} must be >= 1");
         let k_max = k_max.min(tree.len());
 
-        let bt = binarize(tree.root(), tree.children_lists());
+        let bt = binarize(tree.root(), &tree.children_lists());
         let n = bt.len();
         let snapshot_ids: Vec<NodeId> = (0..tree.len()).map(|l| tree.snapshot_id(l)).collect();
 
         // Subtree real-node counts bound the useful budget per node.
-        let order = bt.post_order();
+        // Parents have smaller ids, so descending ids visit children first.
         let mut real_in_subtree = vec![0usize; n];
-        for &x in &order {
+        for x in (0..n).rev() {
             let mut c = usize::from(!bt.is_dummy(x));
             for child in [bt.left(x), bt.right(x)].into_iter().flatten() {
                 c += real_in_subtree[child];
@@ -161,7 +161,7 @@ impl TreeDp {
         let mut m: Vec<Vec<f64>> = vec![Vec::new(); 2 * n];
         let mut m_choice: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
 
-        for &x in &order {
+        for x in (0..n).rev() {
             let cx = cap[x];
             // Children merge m[x][a][j].
             for a in [POS, NEG] {
@@ -469,64 +469,33 @@ impl TreeDp {
         const Q_EPS: f64 = 1e-12;
         let n = tree.len();
 
-        // Parent pointers of the original tree.
-        let mut parent = vec![usize::MAX; n];
-        for x in 0..n {
-            for &c in tree.children(x) {
-                parent[c] = x;
-            }
-        }
-
-        // Per-edge probability factors under observed states (1.0
-        // placeholder for the root). Sign-inconsistent activation links
-        // get the flip-discounted factor — between the paper's equation
-        // convention (0) and prose convention (1); see
-        // [`crate::likelihood::FLIP_DISCOUNT`].
-        let edge_prob: Vec<f64> = (0..n)
-            .map(|x| match tree.parent_edge(x) {
-                None => 1.0,
-                Some((sign, weight)) => crate::likelihood::g_factor_discounted(
-                    alpha,
-                    tree.state(parent[x]),
-                    sign,
-                    tree.state(x),
-                    weight,
-                ),
-            })
-            .collect();
-
-        // Post-order over the original tree (iterative).
-        let mut order = Vec::with_capacity(n);
-        let mut stack = vec![(tree.root(), false)];
-        while let Some((x, expanded)) = stack.pop() {
-            if expanded {
-                order.push(x);
-            } else {
-                stack.push((x, true));
-                for &c in tree.children(x) {
-                    stack.push((c, false));
-                }
-            }
-        }
-
         // q[x][j]: path product over the last j edges ending at x
         // (q[x][0] = 1: x is the initiator), truncated at Q_EPS: the last
         // entry of a truncated vector is 0 and stands for every deeper j.
+        // Ascending local ids visit parents before children.
         let mut q: Vec<Vec<f64>> = vec![Vec::new(); n];
-        q[tree.root()] = vec![1.0];
-        // Reverse post-order visits parents before children.
-        for &x in order.iter().rev() {
-            if x == tree.root() {
-                continue;
-            }
+        for x in 0..n {
             let mut qs = vec![1.0];
-            for &pq in &q[parent[x]] {
-                let v = edge_prob[x] * pq;
-                if v < Q_EPS {
-                    qs.push(0.0);
-                    break;
+            if let (Some(p), Some((sign, weight))) = (tree.parent(x), tree.parent_edge(x)) {
+                // Sign-inconsistent activation links get the
+                // flip-discounted factor — between the paper's equation
+                // convention (0) and prose convention (1); see
+                // [`crate::likelihood::FLIP_DISCOUNT`].
+                let edge_prob = crate::likelihood::g_factor_discounted(
+                    alpha,
+                    tree.state(p),
+                    sign,
+                    tree.state(x),
+                    weight,
+                );
+                for &pq in &q[p] {
+                    let v = edge_prob * pq;
+                    if v < Q_EPS {
+                        qs.push(0.0);
+                        break;
+                    }
+                    qs.push(v);
                 }
-                qs.push(v);
             }
             q[x] = qs;
         }
@@ -537,8 +506,9 @@ impl TreeDp {
             let vc = &v[c];
             vc[j_child.min(vc.len() - 1)].max(vc[0])
         }
+        // Descending local ids visit children before parents.
         let mut v: Vec<Vec<f64>> = vec![Vec::new(); n];
-        for &x in &order {
+        for x in (0..n).rev() {
             let qs = &q[x];
             let mut vx = Vec::with_capacity(qs.len());
             let sv = support_of(x);
@@ -550,7 +520,7 @@ impl TreeDp {
                     sv + (1.0 - sv) * qj
                 };
                 let mut total = own;
-                for &c in tree.children(x) {
+                for c in tree.children(x) {
                     total += child_best(&v, c, j + 1);
                 }
                 vx.push(total);
@@ -575,7 +545,7 @@ impl TreeDp {
                 let qj = q[x][j.min(q[x].len() - 1)];
                 prob_sum += sv + (1.0 - sv) * qj;
             }
-            for &c in tree.children(x) {
+            for c in tree.children(x) {
                 let vc = &v[c];
                 let j_child = (j + 1).min(vc.len() - 1);
                 if vc[j_child] >= vc[0] {
@@ -604,7 +574,7 @@ impl TreeDp {
             return sign;
         }
         let mut score = 0.0; // positive favours Sign::Positive
-        for &c in tree.children(x) {
+        for c in tree.children(x) {
             if let Some((edge_sign, weight)) = tree.parent_edge(c) {
                 if let Some(child_sign) = tree.state(c).sign() {
                     let w = boosted_probability(alpha, edge_sign, weight);
@@ -639,9 +609,8 @@ impl TreeDp {
         assert!(!tree.is_empty(), "cannot solve an empty tree");
         assert!(alpha >= 1.0, "alpha {alpha} must be >= 1");
         assert!(beta >= 0.0, "beta {beta} must be >= 0");
-        let bt = binarize(tree.root(), tree.children_lists());
+        let bt = binarize(tree.root(), &tree.children_lists());
         let n = bt.len();
-        let order = bt.post_order();
 
         // f[x][a_p] = min (edge costs + beta per initiator) in subtree at
         // x, given nearest real ancestor state a_p.
@@ -651,7 +620,8 @@ impl TreeDp {
         // merged[x][a] = children sum with context a.
         let mut merged = vec![[0.0f64; 2]; n];
 
-        for &x in &order {
+        // Descending ids visit children before parents.
+        for x in (0..n).rev() {
             for a in [POS, NEG] {
                 let mut sum = 0.0;
                 for child in [bt.left(x), bt.right(x)].into_iter().flatten() {

@@ -58,14 +58,21 @@ pub fn extraction_run_count() -> u64 {
 /// Node identity is layered: a tree stores *snapshot ids* (ids within the
 /// [`InfectedNetwork`]'s subgraph) and additionally numbers its own nodes
 /// with dense *local ids* `0..len` used by the dynamic program.
+///
+/// Local ids are a DFS pre-order from the root, so parents come first:
+/// the root is 0, every other node's parent has a smaller id, and the
+/// subtree of `x` is exactly the ids `x..x + subtree_len(x)`. An
+/// ascending loop over local ids therefore visits parents before
+/// children, a descending loop children before parents, and "is `u`
+/// below `x`" is a range check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeTree {
     /// Local id → snapshot id.
     nodes: Vec<NodeId>,
-    /// Local id of the root.
-    root: usize,
-    /// Children lists in local ids.
-    children: Vec<Vec<usize>>,
+    /// Local id of each node's parent; `None` for the root.
+    parent: Vec<Option<usize>>,
+    /// Number of nodes in each node's subtree, itself included.
+    subtree_len: Vec<usize>,
     /// Attributes (sign, raw weight) of the activation edge entering each
     /// local node; `None` for the root.
     parent_edge: Vec<Option<(Sign, f64)>>,
@@ -85,9 +92,9 @@ impl CascadeTree {
         self.nodes.is_empty()
     }
 
-    /// Local id of the root.
+    /// Local id of the root: always 0, the first node of the pre-order.
     pub fn root(&self) -> usize {
-        self.root
+        0
     }
 
     /// Snapshot id of a local node.
@@ -99,18 +106,39 @@ impl CascadeTree {
         self.nodes[local]
     }
 
-    /// Children (local ids) of a local node.
+    /// Local id of a node's parent (always smaller than `local`), `None`
+    /// for the root.
     ///
     /// # Panics
     ///
     /// Panics if `local` is out of bounds.
-    pub fn children(&self, local: usize) -> &[usize] {
-        &self.children[local]
+    pub fn parent(&self, local: usize) -> Option<usize> {
+        self.parent[local]
     }
 
-    /// Children lists for all local nodes, indexed by local id.
-    pub fn children_lists(&self) -> &[Vec<usize>] {
-        &self.children
+    /// Children (local ids) of a local node, ascending: the first child
+    /// follows `local` in the pre-order, and each next one follows the
+    /// subtree of the one before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local` is out of bounds.
+    pub fn children(&self, local: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = local + self.subtree_len[local];
+        let mut next = local + 1;
+        std::iter::from_fn(move || {
+            let child = (next < end).then_some(next)?;
+            next += self.subtree_len[child];
+            Some(child)
+        })
+    }
+
+    /// Owned children lists for all local nodes, indexed by local id —
+    /// the input shape of [`isomit_forest::binarize`].
+    pub fn children_lists(&self) -> Vec<Vec<usize>> {
+        (0..self.len())
+            .map(|x| self.children(x).collect())
+            .collect()
     }
 
     /// Activation-edge attributes `(sign, raw weight)` of a local node,
@@ -137,12 +165,13 @@ impl CascadeTree {
     ///
     /// Verified invariants:
     ///
-    /// * all parallel arrays (`nodes`, `children`, `parent_edge`,
-    ///   `states`) have equal length and `root` is in bounds;
-    /// * exactly the root has no parent edge, and every non-root appears
-    ///   in exactly one children list (the children lists encode a tree
-    ///   rooted at `root`);
-    /// * child indices are in bounds and no node is its own child;
+    /// * all parallel arrays (`nodes`, `parent`, `subtree_len`,
+    ///   `parent_edge`, `states`) have equal length;
+    /// * the numbering is a pre-order: only node 0 lacks a parent, every
+    ///   other node's parent has a smaller id, and the node's range
+    ///   `x..x + subtree_len(x)` lies inside its parent's range;
+    /// * every subtree length equals the count the parents imply;
+    /// * exactly the root has no parent edge;
     /// * every snapshot id is distinct, exists in `snapshot`, and carries
     ///   the snapshot's state;
     /// * every parent edge exists in the snapshot graph with the recorded
@@ -162,7 +191,8 @@ impl CascadeTree {
         let n = self.nodes.len();
         let fail = |msg: String| Err(GraphError::Invariant(msg));
         for (name, len) in [
-            ("children", self.children.len()),
+            ("parent", self.parent.len()),
+            ("subtree_len", self.subtree_len.len()),
             ("parent_edge", self.parent_edge.len()),
             ("states", self.states.len()),
         ] {
@@ -170,47 +200,42 @@ impl CascadeTree {
                 return fail(format!("{name} has {len} entries for {n} nodes"));
             }
         }
-        if n == 0 {
-            return Ok(());
-        }
-        if self.root >= n {
-            return fail(format!("root {} out of bounds for {n} nodes", self.root));
-        }
-        // Tree shape: in-degree 1 everywhere except the root.
-        let mut parent_of: Vec<Option<usize>> = vec![None; n];
-        for (p, kids) in self.children.iter().enumerate() {
-            for &c in kids {
-                if c >= n {
-                    return fail(format!("child {c} of node {p} out of bounds"));
+        // Tree shape: parents first, each subtree's range nested in its
+        // parent's. The range holds every descendant, so equal counts
+        // make the range exactly the subtree.
+        let range_end = |x: usize| x.saturating_add(self.subtree_len[x]);
+        let mut implied = vec![1usize; n];
+        for x in (0..n).rev() {
+            match (x, self.parent[x]) {
+                (0, None) => {}
+                (0, Some(p)) => return fail(format!("root 0 has parent {p}")),
+                (_, None) => return fail(format!("node {x} has no parent")),
+                (_, Some(p)) if p >= x => {
+                    return fail(format!("parent {p} of node {x} comes after it"))
                 }
-                if c == p {
-                    return fail(format!("node {p} lists itself as a child"));
+                (_, Some(p)) if range_end(x) > range_end(p) => {
+                    return fail(format!(
+                        "node {x}'s subtree ends past its parent {p}'s range"
+                    ))
                 }
-                if let Some(prev) = parent_of.get(c).copied().flatten() {
-                    return fail(format!("node {c} has two parents: {prev} and {p}"));
-                }
-                if let Some(slot) = parent_of.get_mut(c) {
-                    *slot = Some(p);
-                }
+                (_, Some(p)) => implied[p] += implied[x],
             }
         }
-        if parent_of.get(self.root).copied().flatten().is_some() {
-            return fail(format!("root {} has a parent", self.root));
-        }
-        for (v, p) in parent_of.iter().enumerate() {
-            if v != self.root && p.is_none() {
-                return fail(format!("node {v} is unreachable from root {}", self.root));
-            }
-            let has_edge = self.parent_edge.get(v).copied().flatten().is_some();
-            if p.is_some() != has_edge {
+        for (x, (&len, &count)) in self.subtree_len.iter().zip(&implied).enumerate() {
+            if len != count {
                 return fail(format!(
-                    "node {v}: children lists and parent_edge disagree on rootness"
+                    "node {x} records subtree length {len}, its descendants make {count}"
                 ));
             }
         }
         // Snapshot consistency.
         let mut seen: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
         for (local, &sub_id) in self.nodes.iter().enumerate() {
+            if self.parent[local].is_some() != self.parent_edge[local].is_some() {
+                return fail(format!(
+                    "node {local}: parent and parent_edge disagree on rootness"
+                ));
+            }
             if !seen.insert(sub_id) {
                 return fail(format!("snapshot id {sub_id} appears twice"));
             }
@@ -220,35 +245,25 @@ impl CascadeTree {
                     snapshot.node_count()
                 ));
             }
-            if snapshot.state(sub_id)
-                != self
-                    .states
-                    .get(local)
-                    .copied()
-                    .unwrap_or(NodeState::Unknown)
-            {
+            if snapshot.state(sub_id) != self.states[local] {
                 return fail(format!(
                     "node {local} records state {:?}, snapshot has {:?}",
-                    self.states.get(local),
+                    self.states[local],
                     snapshot.state(sub_id)
                 ));
             }
-            if let Some(p) = parent_of.get(local).copied().flatten() {
-                let Some(parent_sub) = self.nodes.get(p).copied() else {
-                    return fail(format!("parent {p} of node {local} out of bounds"));
-                };
+            if let (Some(p), Some((sign, weight))) = (self.parent[local], self.parent_edge[local]) {
+                let parent_sub = self.nodes[p];
                 let Some(e) = snapshot.graph().edge(parent_sub, sub_id) else {
                     return fail(format!(
                         "activation edge ({parent_sub}, {sub_id}) missing from the snapshot graph"
                     ));
                 };
-                if let Some((sign, weight)) = self.parent_edge.get(local).copied().flatten() {
-                    if sign != e.sign || weight.to_bits() != e.weight.to_bits() {
-                        return fail(format!(
-                            "activation edge ({parent_sub}, {sub_id}) records ({sign:?}, {weight}), snapshot has ({:?}, {})",
-                            e.sign, e.weight
-                        ));
-                    }
+                if sign != e.sign || weight.to_bits() != e.weight.to_bits() {
+                    return fail(format!(
+                        "activation edge ({parent_sub}, {sub_id}) records ({sign:?}, {weight}), snapshot has ({:?}, {})",
+                        e.sign, e.weight
+                    ));
                 }
             }
         }
@@ -432,49 +447,40 @@ fn materialize_forest(snapshot: &InfectedNetwork, branching: &Branching) -> Vec<
 /// index) from the branching's children lists, numbering nodes by DFS
 /// pre-order from the root.
 fn build_tree(snapshot: &InfectedNetwork, children: &[Vec<usize>], root: usize) -> CascadeTree {
-    // Singleton fast path: isolated infected nodes are the most common
-    // tree shape in sparse snapshots and need none of the DFS machinery.
-    if children[root].is_empty() {
-        let sub_id = NodeId::from_index(root);
-        return CascadeTree {
-            nodes: vec![sub_id],
-            root: 0,
-            children: vec![Vec::new()],
-            parent_edge: vec![None],
-            states: vec![snapshot.state(sub_id)],
-        };
-    }
     let mut nodes = Vec::new();
-    let mut local_children: Vec<Vec<usize>> = Vec::new();
-    let mut parent_edge: Vec<Option<(Sign, f64)>> = Vec::new();
+    let mut parent = Vec::new();
+    let mut parent_edge = Vec::new();
     let mut states = Vec::new();
     let mut stack: Vec<(usize, Option<usize>)> = vec![(root, None)];
     while let Some((sub_idx, parent_local)) = stack.pop() {
         let local = nodes.len();
         let sub_id = NodeId::from_index(sub_idx);
+        parent_edge.push(parent_local.map(|pl| {
+            let e = snapshot
+                .graph()
+                .edge(nodes[pl], sub_id)
+                .expect("branching arc exists in snapshot graph");
+            (e.sign, e.weight)
+        }));
+        parent.push(parent_local);
         nodes.push(sub_id);
-        local_children.push(Vec::new());
         states.push(snapshot.state(sub_id));
-        match parent_local {
-            None => parent_edge.push(None),
-            Some(pl) => {
-                local_children[pl].push(local);
-                let parent_sub = nodes[pl];
-                let e = snapshot
-                    .graph()
-                    .edge(parent_sub, sub_id)
-                    .expect("branching arc exists in snapshot graph");
-                parent_edge.push(Some((e.sign, e.weight)));
-            }
-        }
         for &c in &children[sub_idx] {
             stack.push((c, Some(local)));
         }
     }
+    // Every node follows its parent, so one descending pass has each
+    // subtree complete before it is added to its parent's.
+    let mut subtree_len = vec![1; nodes.len()];
+    for x in (0..nodes.len()).rev() {
+        if let Some(p) = parent[x] {
+            subtree_len[p] += subtree_len[x];
+        }
+    }
     CascadeTree {
         nodes,
-        root: 0,
-        children: local_children,
+        parent,
+        subtree_len,
         parent_edge,
         states,
     }
@@ -535,38 +541,21 @@ pub fn external_support(
     trees: &[CascadeTree],
     alpha: f64,
 ) -> Vec<Vec<f64>> {
-    // One Euler tour of the whole forest on one clock, indexed by
-    // snapshot id. The trees partition the snapshot, so every entry is
-    // written exactly once and the trees' intervals are disjoint: `u` is
-    // a descendant of `v` exactly when `v`'s interval holds `u`'s, with
-    // no lookup of which tree `u` is in.
+    // The trees' pre-orders laid end to end give every snapshot node one
+    // position. The trees partition the snapshot, so every position is
+    // used once, and `u` is a descendant of `v` exactly when `u`'s
+    // position lies in `v`'s subtree range, with no lookup of which tree
+    // `u` is in.
     let n = snapshot.node_count();
-    let mut tin = vec![0u32; n];
-    let mut tout = vec![0u32; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut clock = 0u32;
-    let mut stack = Vec::new();
+    let mut position = vec![0usize; n];
+    let mut start = 0;
     for tree in trees {
-        stack.push((tree.root(), false));
-        while let Some((x, expanded)) = stack.pop() {
-            let v = tree.snapshot_id(x);
-            if expanded {
-                tout[v.index()] = clock;
-            } else {
-                tin[v.index()] = clock;
-                clock += 1;
-                stack.push((x, true));
-                for &c in tree.children(x) {
-                    parent[tree.snapshot_id(c).index()] = Some(v);
-                    stack.push((c, false));
-                }
-            }
+        for local in 0..tree.len() {
+            position[tree.snapshot_id(local).index()] = start + local;
         }
+        start += tree.len();
     }
-    assert_eq!(clock as usize, n, "the trees must partition the snapshot");
-    let is_descendant = |anc: NodeId, u: NodeId| {
-        tin[anc.index()] <= tin[u.index()] && tout[u.index()] <= tout[anc.index()]
-    };
+    assert_eq!(start, n, "the trees must partition the snapshot");
 
     trees
         .iter()
@@ -574,9 +563,12 @@ pub fn external_support(
             (0..tree.len())
                 .map(|local| {
                     let v = tree.snapshot_id(local);
+                    let parent = tree.parent(local).map(|p| tree.snapshot_id(p));
+                    let at = position[v.index()];
+                    let below = at..at + tree.subtree_len[local];
                     let mut miss = 1.0;
                     for e in snapshot.graph().in_edges(v) {
-                        if Some(e.src) == parent[v.index()] || is_descendant(v, e.src) {
+                        if Some(e.src) == parent || below.contains(&position[e.src.index()]) {
                             continue;
                         }
                         // Strict factor: an inconsistent in-edge is not a
@@ -805,10 +797,41 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_extracted_trees_and_catches_corruption() {
+    fn trees_are_numbered_parents_first() {
+        // Snapshot 0 activates 1 and 2, and 1 activates 3. The stack DFS
+        // takes 0's last child first: locals 0, 1, 2, 3 are snapshot
+        // nodes 0, 2, 1, 3.
         let s = snapshot(
-            &[(0, 1, Sign::Positive, 0.5), (1, 2, Sign::Negative, 0.5)],
-            &[P, P, N],
+            &[
+                (0, 1, Sign::Positive, 0.5),
+                (0, 2, Sign::Positive, 0.5),
+                (1, 3, Sign::Positive, 0.5),
+            ],
+            &[P, P, N, N],
+        );
+        let (trees, _) = extract_cascade_forest(&s, 2.0);
+        let t = &trees[0];
+        let ids: Vec<u32> = (0..t.len()).map(|l| t.snapshot_id(l).0).collect();
+        assert_eq!(ids, [0, 2, 1, 3]);
+        let parents: Vec<Option<usize>> = (0..t.len()).map(|l| t.parent(l)).collect();
+        assert_eq!(parents, [None, Some(0), Some(0), Some(2)]);
+        assert_eq!(t.subtree_len, [4, 1, 2, 1]);
+        let children: Vec<Vec<usize>> = (0..t.len()).map(|l| t.children(l).collect()).collect();
+        assert_eq!(children, [vec![1, 2], vec![], vec![3], vec![]]);
+        assert_eq!(t.children_lists(), children);
+    }
+
+    #[test]
+    fn validate_accepts_extracted_trees_and_catches_corruption() {
+        // The tree of `trees_are_numbered_parents_first`: parents
+        // [None, 0, 0, 2], subtree lengths [4, 1, 2, 1].
+        let s = snapshot(
+            &[
+                (0, 1, Sign::Positive, 0.5),
+                (0, 2, Sign::Positive, 0.5),
+                (1, 3, Sign::Positive, 0.5),
+            ],
+            &[P, P, N, N],
         );
         let (trees, _) = extract_cascade_forest(&s, 2.0);
         let good = trees[0].clone();
@@ -824,26 +847,38 @@ mod tests {
         }
 
         let mut t = good.clone();
-        t.states.swap(0, 2);
-        expect_invariant(&t, &s, "records state");
+        t.parent[2] = None; // a non-root node without a parent
+        expect_invariant(&t, &s, "has no parent");
+
+        let mut t = good.clone();
+        t.parent[1] = Some(2); // a parent after its child
+        expect_invariant(&t, &s, "comes after it");
+
+        let mut t = good.clone();
+        t.parent[3] = Some(1); // node 3 lies outside node 1's range 1..2
+        expect_invariant(&t, &s, "past its parent");
+
+        let mut t = good.clone();
+        t.subtree_len[1] = 2; // nested in range, but node 1 is a leaf
+        expect_invariant(&t, &s, "subtree length");
+
+        let mut t = good.clone();
+        t.parent_edge[0] = Some((Sign::Positive, 0.5)); // root with an edge
+        expect_invariant(&t, &s, "disagree on rootness");
 
         let mut t = good.clone();
         t.nodes[1] = t.nodes[0]; // duplicate snapshot id
         expect_invariant(&t, &s, "appears twice");
 
         let mut t = good.clone();
-        t.parent_edge[t.root] = Some((Sign::Positive, 0.5)); // root with an edge
-        expect_invariant(&t, &s, "disagree on rootness");
+        t.states.swap(0, 1); // snapshot nodes 0 and 2 hold P and N
+        expect_invariant(&t, &s, "records state");
 
         let mut t = good.clone();
         if let Some((_, w)) = &mut t.parent_edge[1] {
             *w = 0.9; // snapshot edge weight is 0.5
         }
         expect_invariant(&t, &s, "snapshot has");
-
-        let mut t = good.clone();
-        t.children[t.root].clear(); // orphan the subtree
-        expect_invariant(&t, &s, "unreachable");
     }
 
     #[test]

@@ -57,12 +57,6 @@ fn edge_prob(tree: &CascadeTree, parent: usize, child: usize, alpha: f64) -> f64
 fn brute_force_probability_sum(tree: &CascadeTree, alpha: f64, beta: f64) -> f64 {
     let n = tree.len();
     assert!(n <= 12, "exponential brute force");
-    let mut parent = vec![usize::MAX; n];
-    for x in 0..n {
-        for &c in tree.children(x) {
-            parent[c] = x;
-        }
-    }
     let mut best = f64::INFINITY;
     for mask in 0u32..(1 << n) {
         if mask & (1 << tree.root()) == 0 {
@@ -70,7 +64,6 @@ fn brute_force_probability_sum(tree: &CascadeTree, alpha: f64, beta: f64) -> f64
         }
         // P(u) = product of edge probs from nearest initiator ancestor.
         let mut prob_sum = 0.0;
-        #[allow(clippy::needless_range_loop)]
         for u in 0..n {
             if mask & (1 << u) != 0 {
                 prob_sum += 1.0;
@@ -79,7 +72,7 @@ fn brute_force_probability_sum(tree: &CascadeTree, alpha: f64, beta: f64) -> f64
             let mut q = 1.0;
             let mut cur = u;
             loop {
-                let p = parent[cur];
+                let p = tree.parent(cur).expect("a non-initiator is not the root");
                 q *= edge_prob(tree, p, cur, alpha);
                 if mask & (1 << p) != 0 {
                     break;
@@ -103,22 +96,16 @@ fn brute_force_probability_sum(tree: &CascadeTree, alpha: f64, beta: f64) -> f64
 fn brute_force_budgeted(tree: &CascadeTree, alpha: f64, k: usize) -> f64 {
     let n = tree.len();
     assert!(n <= 12, "exponential brute force");
-    let mut parent = vec![usize::MAX; n];
-    for x in 0..n {
-        for &c in tree.children(x) {
-            parent[c] = x;
-        }
-    }
     let mut best = f64::INFINITY;
     for mask in 0u32..(1 << n) {
         if mask & (1 << tree.root()) == 0 || mask.count_ones() as usize != k {
             continue;
         }
         let mut cost = 0.0;
-        #[allow(clippy::needless_range_loop)]
         for u in 0..n {
             if mask & (1 << u) == 0 {
-                let p = edge_prob(tree, parent[u], u, alpha);
+                let parent = tree.parent(u).expect("a non-initiator is not the root");
+                let p = edge_prob(tree, parent, u, alpha);
                 cost += if p <= 0.0 { f64::INFINITY } else { -p.ln() };
             }
         }
@@ -227,14 +214,12 @@ proptest! {
                 seen[id.index()] = true;
                 prop_assert_eq!(tree.state(local), snapshot.state(id));
                 if local != tree.root() {
-                    // Parent edge exists in the snapshot graph.
-                    let mut parent = None;
-                    for x in 0..tree.len() {
-                        if tree.children(x).contains(&local) {
-                            parent = Some(x);
-                        }
-                    }
-                    let p = tree.snapshot_id(parent.expect("non-root has parent"));
+                    // Parent edge exists in the snapshot graph, and the
+                    // parent comes first.
+                    let parent = tree.parent(local).expect("non-root has parent");
+                    prop_assert!(parent < local, "parent after its child");
+                    prop_assert!(tree.children(parent).any(|c| c == local));
+                    let p = tree.snapshot_id(parent);
                     let (sign, weight) = tree.parent_edge(local).unwrap();
                     let e = snapshot.graph().edge(p, id).expect("edge exists");
                     prop_assert_eq!(e.sign, sign);

@@ -1,5 +1,3 @@
-// lint:allow-file(indexing) binarization gadget arrays (children, original, parent) grow together, so every stored id is a valid index into its sibling arrays
-
 /// A binary tree produced by [`binarize`], the paper's Figure 3
 /// transformation.
 ///
@@ -9,9 +7,13 @@
 /// diffusion: they can never be rumor initiators and the edges adjacent
 /// to them carry probability 1 in the dynamic program.
 ///
-/// Structural invariants (upheld by construction, checked by
-/// `debug_assert`s):
+/// Structural invariants (upheld by construction):
 ///
+/// * parents come first: the root is node 0 and every other node's
+///   parent has a smaller id ([`binarize`] allocates each node after
+///   its parent), so a descending loop over `0..len` visits children
+///   before parents — the evaluation order of the k-ISOMIT-BT dynamic
+///   program;
 /// * every node has at most two children;
 /// * the real nodes' ancestor relation equals the original tree's: the
 ///   nearest real ancestor of a real node is its original parent;
@@ -22,7 +24,6 @@ pub struct BinaryTree {
     original: Vec<Option<usize>>,
     children: Vec<[Option<usize>; 2]>,
     parent: Vec<Option<usize>>,
-    root: usize,
 }
 
 impl BinaryTree {
@@ -37,9 +38,9 @@ impl BinaryTree {
         self.original.is_empty()
     }
 
-    /// Index of the root node (always a real node).
+    /// Index of the root node: always 0, and always a real node.
     pub fn root(&self) -> usize {
-        self.root
+        0
     }
 
     /// The original tree node a binary node stands for, `None` for
@@ -96,25 +97,6 @@ impl BinaryTree {
     /// Number of dummy nodes.
     pub fn dummy_count(&self) -> usize {
         self.len() - self.real_count()
-    }
-
-    /// Nodes in post-order (children before parents) — the evaluation
-    /// order of the k-ISOMIT-BT dynamic program. Iterative, so arbitrarily
-    /// deep trees do not overflow the stack.
-    pub fn post_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack = vec![(self.root, false)];
-        while let Some((node, expanded)) = stack.pop() {
-            if expanded {
-                order.push(node);
-            } else {
-                stack.push((node, true));
-                for child in self.children[node].iter().flatten() {
-                    stack.push((*child, false));
-                }
-            }
-        }
-        order
     }
 
     /// The nearest *real* ancestor of `node` (skipping dummies), `None`
@@ -177,7 +159,6 @@ pub fn binarize(root: usize, children: &[Vec<usize>]) -> BinaryTree {
         original: Vec::new(),
         children: Vec::new(),
         parent: Vec::new(),
-        root: 0,
     };
     let mut seen = vec![false; n];
 
@@ -199,23 +180,23 @@ pub fn binarize(root: usize, children: &[Vec<usize>]) -> BinaryTree {
     }
 
     let bt_root = alloc(&mut tree, Some(root), None);
-    tree.root = bt_root;
     seen[root] = true;
 
     // Work items: a binary parent node and the slice of original children
-    // still to hang beneath it (at most two slots available).
-    let mut work: Vec<(usize, Vec<usize>)> = vec![(bt_root, children[root].clone())];
+    // still to hang beneath it (at most two slots available), borrowed
+    // from `children`.
+    let mut work: Vec<(usize, &[usize])> = vec![(bt_root, &children[root])];
     while let Some((bt_parent, orig_children)) = work.pop() {
         match orig_children.len() {
             0 => {}
             1 | 2 => {
-                for orig in orig_children {
+                for &orig in orig_children {
                     assert!(orig < n, "child {orig} out of bounds for {n} nodes");
                     assert!(!seen[orig], "node {orig} reached twice: not a tree");
                     seen[orig] = true;
                     let bt_child = alloc(&mut tree, Some(orig), Some(bt_parent));
                     attach_child(&mut tree, bt_parent, bt_child);
-                    work.push((bt_child, children[orig].clone()));
+                    work.push((bt_child, &children[orig]));
                 }
             }
             c => {
@@ -230,11 +211,11 @@ pub fn binarize(root: usize, children: &[Vec<usize>]) -> BinaryTree {
                         seen[orig] = true;
                         let bt_child = alloc(&mut tree, Some(orig), Some(bt_parent));
                         attach_child(&mut tree, bt_parent, bt_child);
-                        work.push((bt_child, children[orig].clone()));
+                        work.push((bt_child, &children[orig]));
                     } else {
                         let dummy = alloc(&mut tree, None, Some(bt_parent));
                         attach_child(&mut tree, bt_parent, dummy);
-                        work.push((dummy, half.to_vec()));
+                        work.push((dummy, half));
                     }
                 }
             }
@@ -278,7 +259,7 @@ mod tests {
         assert_eq!(bt.real_count(), 1);
         assert_eq!(bt.dummy_count(), 0);
         assert_eq!(bt.root(), 0);
-        assert_eq!(bt.post_order(), vec![0]);
+        assert_eq!(bt.parent(0), None);
     }
 
     #[test]
@@ -329,24 +310,20 @@ mod tests {
     }
 
     #[test]
-    fn post_order_visits_children_first() {
+    fn parents_come_before_children() {
         let children = vec![vec![1, 2, 3], vec![4], vec![], vec![], vec![]];
         let bt = binarize(0, &children);
-        let order = bt.post_order();
-        assert_eq!(order.len(), bt.len());
-        let pos: std::collections::HashMap<usize, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        for node in 0..bt.len() {
-            for child in bt.children[node].iter().flatten() {
-                assert!(pos[child] < pos[&node], "child after parent in post-order");
-            }
+        assert_eq!(bt.parent(bt.root()), None);
+        for node in 1..bt.len() {
+            let parent = bt.parent(node).expect("only the root lacks a parent");
+            assert!(parent < node, "parent {parent} after its child {node}");
+            assert!(bt.children[parent].contains(&Some(node)));
         }
-        assert_eq!(*order.last().unwrap(), bt.root());
     }
 
     #[test]
     fn deep_chain_does_not_overflow() {
-        // 50k-node path: post_order and binarize must stay iterative.
+        // 50k-node path: binarize must stay iterative.
         let n = 50_000;
         let mut children = vec![Vec::new(); n];
         for (i, kids) in children.iter_mut().enumerate().take(n - 1) {
@@ -354,7 +331,7 @@ mod tests {
         }
         let bt = binarize(0, &children);
         assert_eq!(bt.len(), n);
-        assert_eq!(bt.post_order().len(), n);
+        assert_eq!(bt.real_count(), n);
     }
 
     #[test]

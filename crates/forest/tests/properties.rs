@@ -278,10 +278,13 @@ proptest! {
                 prop_assert_eq!(actual, orig_parent[orig]);
             }
         }
-        // Post-order is a permutation ending at the root.
-        let order = bt.post_order();
-        prop_assert_eq!(order.len(), bt.len());
-        prop_assert_eq!(*order.last().unwrap(), bt.root());
+        // Parents first: the root is node 0 and every parent precedes
+        // its children.
+        prop_assert_eq!(bt.root(), 0);
+        prop_assert_eq!(bt.parent(0), None);
+        for node in 1..bt.len() {
+            prop_assert!(bt.parent(node).is_some_and(|p| p < node));
+        }
     }
 
     #[test]

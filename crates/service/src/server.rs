@@ -50,8 +50,10 @@
 //!   the per-shard queue is FIFO and the worker is single-threaded, so
 //!   the delta stream applies in order and the `IncrementalRid` state
 //!   never migrates. Session deadlines are enforced on the io thread
-//!   (which owns the connection and its `opened` clock), so an expired
-//!   session can be reopened on the same connection immediately.
+//!   (which owns the connection and its `opened` clock) on every sweep,
+//!   so an idle session's admission slot comes back at its deadline and
+//!   an expired session can be reopened on the same connection
+//!   immediately.
 //!
 //! Shutdown (via the protocol `shutdown` request or
 //! [`Server::trigger_shutdown`]) closes every shard queue: queued work
@@ -99,7 +101,8 @@ pub struct ServerConfig {
     /// Per-request deadline, measured from arrival; jobs still queued
     /// past it are answered with `deadline_exceeded` instead of
     /// computed. Also bounds a watch session's lifetime, measured from
-    /// `watch_open`.
+    /// `watch_open`: an open session is ended at its deadline even when
+    /// no further request arrives on its connection.
     pub request_timeout: Duration,
     /// Concurrent watch sessions admitted across all connections;
     /// beyond it `watch_open` is answered with `overloaded`.
@@ -579,18 +582,26 @@ fn span_config_key(config: Option<&str>, detector: Option<&str>) -> u64 {
     fingerprint_bytes(&bytes)
 }
 
-/// The io thread's record of a connection's open watch session: which
-/// shard owns the `IncrementalRid` state, and the deadline clock.
-struct WatchPin {
-    shard: usize,
-    opened: Stopwatch,
+/// The io thread's record of a connection's watch session.
+#[derive(Default)]
+enum Watch {
+    /// No session.
+    #[default]
+    Closed,
+    /// An open session: the shard that owns its `IncrementalRid` state,
+    /// and the deadline clock.
+    Open { shard: usize, opened: Stopwatch },
+    /// The session outlived the request deadline and its teardown went
+    /// to its shard; the next `watch_delta` or `watch_close` is answered
+    /// `deadline_exceeded`.
+    Expired,
 }
 
 /// Per-connection io-thread state.
 struct ConnState {
     conn: Arc<Conn>,
     lines: LineBuffer,
-    watch: Option<WatchPin>,
+    watch: Watch,
     /// Cleared once no further line can be served (EOF, or an
     /// undecodable line): the connection is then released when every
     /// reply owed to it is written.
@@ -670,7 +681,7 @@ fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                                 outbox: Mutex::default(),
                             }),
                             lines: LineBuffer::default(),
-                            watch: None,
+                            watch: Watch::Closed,
                             open: true,
                         });
                     }
@@ -708,8 +719,10 @@ fn io_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// session teardown to the owning shard (cleanup jobs are never shed).
 /// If the shard's queue already closed at shutdown, the session stays in
 /// the worker's map and the drain-end sweep returns its slot instead.
-fn release_watch(conn: &Arc<Conn>, watch: Option<WatchPin>, shared: &Arc<Shared>) {
-    let Some(pin) = watch else { return };
+fn release_watch(conn: &Arc<Conn>, watch: Watch, shared: &Arc<Shared>) {
+    let Watch::Open { shard, .. } = watch else {
+        return;
+    };
     let job = Job {
         id: 0,
         // lint:allow(telemetry) arrival timestamp for deadline math; the derived latencies go through registry histograms
@@ -717,14 +730,26 @@ fn release_watch(conn: &Arc<Conn>, watch: Option<WatchPin>, shared: &Arc<Shared>
         conn: Arc::clone(conn),
         work: Work::WatchCleanup,
     };
-    if let Some(shard) = shared.shards.get(pin.shard) {
+    if let Some(shard) = shared.shards.get(shard) {
         let _ = shard.queue.force_push(job);
+    }
+}
+
+/// Ends the connection's watch session once it has been open longer
+/// than the request deadline, whether or not the client is still
+/// sending: its teardown goes to the owning shard, which frees its
+/// admission slot, and the connection remembers the expiry for its next
+/// watch request.
+fn expire_watch(conn: &Arc<Conn>, watch: &mut Watch, shared: &Arc<Shared>) {
+    if matches!(watch, Watch::Open { opened, .. } if opened.elapsed() > shared.timeout) {
+        release_watch(conn, std::mem::replace(watch, Watch::Expired), shared);
     }
 }
 
 /// One sweep of a connection: one read and bounded line processing
 /// while its outbox is under [`OUTBOX_CAP`], then one flush.
 fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
+    expire_watch(&state.conn, &mut state.watch, shared);
     // A connection whose replies back up past the cap is not read, so
     // TCP backpressure reaches a client that does not read them.
     let mut progress = false;
@@ -732,7 +757,7 @@ fn pump_conn(state: &mut ConnState, shared: &Arc<Shared>) -> Pump {
         progress = serve_lines(state, shared);
     }
     if !state.open {
-        release_watch(&state.conn, state.watch.take(), shared);
+        release_watch(&state.conn, std::mem::take(&mut state.watch), shared);
     }
     match state.conn.flush(shared) {
         None => return Pump::Closed,
@@ -835,7 +860,7 @@ fn handle_line(
     line: &str,
     received: Instant,
     conn: &Arc<Conn>,
-    watch: &mut Option<WatchPin>,
+    watch: &mut Watch,
     shared: &Arc<Shared>,
 ) {
     // The line's one walk leaves the snapshot span unchecked; when it
@@ -888,7 +913,7 @@ fn serve_request(
     fields: &Fields<'_>,
     received: Instant,
     conn: &Arc<Conn>,
-    watch: &mut Option<WatchPin>,
+    watch: &mut Watch,
     shared: &Arc<Shared>,
 ) {
     let Request { id, body } = request;
@@ -964,29 +989,9 @@ fn serve_request(
             answer_every,
         } => serve_watch_open(id, config, answer_every, received, conn, watch, shared),
         RequestBody::WatchDelta { delta } => {
-            let Some(pin) = watch.as_ref() else {
-                let error = WireError::new(
-                    ErrorKind::BadRequest,
-                    "no watch session open on this connection; send watch_open first",
-                );
-                return conn.push(&error_line(Some(id), &error));
+            let Some(shard) = pinned_shard(id, conn, watch, shared) else {
+                return;
             };
-            let expired = pin.opened.elapsed() > shared.timeout;
-            let shard = pin.shard;
-            if expired {
-                // The io thread owns the deadline: clear the pin here so
-                // this very connection can reopen immediately, and hand
-                // the state teardown to the owning shard.
-                release_watch(conn, watch.take(), shared);
-                let error = WireError::new(
-                    ErrorKind::DeadlineExceeded,
-                    format!(
-                        "watch session outlived its {:?} deadline; reopen to continue",
-                        shared.timeout
-                    ),
-                );
-                return conn.push(&error_line(Some(id), &error));
-            }
             forward_watch(
                 shard,
                 Job {
@@ -1000,15 +1005,12 @@ fn serve_request(
             )
         }
         RequestBody::WatchClose => {
-            let Some(pin) = watch.take() else {
-                let error = WireError::new(
-                    ErrorKind::BadRequest,
-                    "no watch session open on this connection",
-                );
-                return conn.push(&error_line(Some(id), &error));
+            let Some(shard) = pinned_shard(id, conn, watch, shared) else {
+                return;
             };
+            *watch = Watch::Closed;
             forward_watch(
-                pin.shard,
+                shard,
                 Job {
                     id,
                     received,
@@ -1020,6 +1022,39 @@ fn serve_request(
             )
         }
     }
+}
+
+/// The shard of the connection's open watch session, once
+/// [`expire_watch`] has checked its deadline. Without an open session
+/// the request is answered here: `deadline_exceeded` once after an
+/// expiry (which clears it, so the connection can reopen), else
+/// `bad_request`.
+fn pinned_shard(
+    id: u64,
+    conn: &Arc<Conn>,
+    watch: &mut Watch,
+    shared: &Arc<Shared>,
+) -> Option<usize> {
+    expire_watch(conn, watch, shared);
+    let error = match watch {
+        Watch::Open { shard, .. } => return Some(*shard),
+        Watch::Closed => WireError::new(
+            ErrorKind::BadRequest,
+            "no watch session open on this connection; send watch_open first",
+        ),
+        Watch::Expired => {
+            *watch = Watch::Closed;
+            WireError::new(
+                ErrorKind::DeadlineExceeded,
+                format!(
+                    "watch session outlived its {:?} deadline; reopen to continue",
+                    shared.timeout
+                ),
+            )
+        }
+    };
+    conn.push(&error_line(Some(id), &error));
+    None
 }
 
 /// The `stats` payload: shard-summed engine counters, queue occupancy,
@@ -1092,14 +1127,15 @@ fn serve_watch_open(
     answer_every: Option<u64>,
     received: Instant,
     conn: &Arc<Conn>,
-    watch: &mut Option<WatchPin>,
+    watch: &mut Watch,
     shared: &Arc<Shared>,
 ) {
     if shared.shutdown.load(Ordering::SeqCst) {
         let error = WireError::new(ErrorKind::ShuttingDown, "server is shutting down");
         return conn.push(&error_line(Some(id), &error));
     }
-    if watch.is_some() {
+    expire_watch(conn, watch, shared);
+    if matches!(watch, Watch::Open { .. }) {
         let error = WireError::new(
             ErrorKind::BadRequest,
             "a watch session is already open on this connection",
@@ -1147,10 +1183,10 @@ fn serve_watch_open(
     let queue = &shard_at(shared, shard).queue;
     match queue.try_push(job) {
         Ok(()) => {
-            *watch = Some(WatchPin {
+            *watch = Watch::Open {
                 shard,
                 opened: Stopwatch::start(),
-            });
+            };
         }
         Err(PushError::Full(job)) => {
             shared.watch_active.fetch_sub(1, Ordering::SeqCst);

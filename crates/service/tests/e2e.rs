@@ -575,7 +575,9 @@ fn watch_sessions_survive_malformed_and_invalid_deltas() {
         reply
     };
 
-    // A delta without an open session is a structured error.
+    // A close or a delta without an open session is a structured error.
+    let reply = exchange("{\"id\":1,\"type\":\"watch_close\"}");
+    assert!(reply.contains("bad_request"), "{reply}");
     let reply = exchange(
         "{\"id\":1,\"type\":\"watch_delta\",\"delta\":{\"op\":\"infect\",\"node\":0,\"state\":\"+\"}}",
     );
@@ -643,6 +645,15 @@ fn watch_sessions_expire_at_their_deadline() {
 fn watch_admission_cap_sheds_excess_sessions_while_active_ones_stream() {
     let daemon = Daemon::spawn(&["--max-watch", "1"]);
     let mut active = daemon.client();
+    // A refused config hands its reserved slot back.
+    let invalid = RidConfig {
+        alpha: 0.5,
+        ..RidConfig::default()
+    };
+    match active.watch_open(Some(invalid), None) {
+        Err(ClientError::Remote(err)) => assert_eq!(err.kind, ErrorKind::BadRequest, "{err}"),
+        other => panic!("expected bad_request for alpha 0.5, got {other:?}"),
+    }
     active.watch_open(None, None).expect("first session");
     active.watch_delta(&infect(0)).expect("first delta");
 
@@ -673,6 +684,94 @@ fn watch_admission_cap_sheds_excess_sessions_while_active_ones_stream() {
     shed.watch_open(None, None).expect("slot freed after close");
     shed.watch_close().expect("close second session");
     shed.shutdown().expect("shutdown");
+}
+
+/// Opens a watch session on `client` once the admission cap lets it in,
+/// polling for up to 5 s; every refusal on the way must be `overloaded`.
+fn open_once_admitted(client: &mut Client) {
+    for _ in 0..200 {
+        match client.watch_open(None, None) {
+            Ok(()) => return,
+            Err(ClientError::Remote(err)) if err.kind == ErrorKind::Overloaded => {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+            }
+            other => panic!("expected admission or overloaded, got {other:?}"),
+        }
+    }
+    panic!("watch_open not admitted within 5s");
+}
+
+#[test]
+fn an_idle_watch_session_frees_its_slot_at_the_deadline() {
+    let daemon = Daemon::spawn(&["--max-watch", "1", "--timeout-ms", "100"]);
+    let mut idle = daemon.client();
+    idle.watch_open(None, None).expect("watch_open");
+    idle.watch_delta(&infect(0)).expect("within deadline");
+
+    // The idle client sends nothing more, yet its session ends at the
+    // deadline and the only slot goes to the next client.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let mut next = daemon.client();
+    open_once_admitted(&mut next);
+
+    // The idle client learns of the expiry from its next watch request.
+    match idle.watch_delta(&infect(1)) {
+        Err(ClientError::Remote(err)) => {
+            assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "{err}");
+        }
+        other => panic!("expected deadline_exceeded, got {other:?}"),
+    }
+
+    // A close past the deadline is answered `deadline_exceeded` once;
+    // after that the connection has no session to close.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    match next.watch_close() {
+        Err(ClientError::Remote(err)) => {
+            assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "{err}");
+        }
+        other => panic!("expected deadline_exceeded, got {other:?}"),
+    }
+    match next.watch_close() {
+        Err(ClientError::Remote(err)) => assert_eq!(err.kind, ErrorKind::BadRequest, "{err}"),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    next.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_dropped_connection_frees_its_watch_slot() {
+    let daemon = Daemon::spawn(&["--max-watch", "1"]);
+    let mut dropped = daemon.raw();
+    let mut reader = BufReader::new(dropped.try_clone().expect("clone stream"));
+    dropped
+        .write_all(b"{\"id\":1,\"type\":\"watch_open\"}\n")
+        .expect("write watch_open");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read watch_open reply");
+    assert!(reply.contains("\"opened\":true"), "{reply}");
+
+    let mut next = daemon.client();
+    match next.watch_open(None, None) {
+        Err(ClientError::Remote(err)) => assert_eq!(err.kind, ErrorKind::Overloaded, "{err}"),
+        other => panic!("expected overloaded while the slot is held, got {other:?}"),
+    }
+
+    // A batch of deltas, then the socket closes with every reply unread.
+    let batch: String = (0..32u32)
+        .map(|node| {
+            format!(
+                "{{\"id\":{},\"type\":\"watch_delta\",\"delta\":{{\"op\":\"infect\",\"node\":{node},\"state\":\"+\"}}}}\n",
+                node + 2
+            )
+        })
+        .collect();
+    dropped.write_all(batch.as_bytes()).expect("write deltas");
+    drop(reader);
+    drop(dropped);
+
+    open_once_admitted(&mut next);
+    next.watch_close().expect("watch_close");
+    next.shutdown().expect("shutdown");
 }
 
 #[test]
